@@ -10,10 +10,10 @@ adjusted rand score, OA/AA/kappa).
 """
 
 from .autodiff import Tape, Tensor, grad_check
-from .cae import (CaeConfig, CaeParams, build_cae, decode, decode_batch,
-                  encode, encode_batch, init_centers, load_checkpoint,
-                  reconstruction_loss, save_checkpoint, soft_assign,
-                  target_distribution, clustering_loss, total_loss)
+from .cae import (CaeConfig, CaeParams, build_cae, decode_batch, encode_batch,
+                  init_centers, load_checkpoint, reconstruction_loss,
+                  save_checkpoint, soft_assign, target_distribution,
+                  clustering_loss, total_loss)
 from .clustering import GmmModel, KmeansModel, gmm_em, kmeans
 from .cube import (HsiCube, PatchBatch, SegmentationMap, extract_patches,
                    load_cube, load_labels, normalize, write_cube,

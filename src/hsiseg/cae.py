@@ -8,10 +8,11 @@ one trainable center per cluster and converts embeddings into soft
 assignments through a Student's-t kernel; its target distribution sharpens
 confident assignments while normalizing by cluster frequency.
 
-Checkpoints are a single zip archive: ``config.json``, ``manifest.json``
-listing (name, shape, dtype, file) for each tensor, and one raw
-little-endian float64 payload per tensor.  Entry order and timestamps are
-fixed so identical parameters give byte-identical archives.
+Checkpoints are a single zip archive: ``meta.json`` (format, version and
+architecture config), ``manifest.json`` listing (name, shape, dtype, file)
+for each tensor, and one raw little-endian float64 payload per tensor.
+Entry order and timestamps are fixed so identical parameters give
+byte-identical archives.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .archive import load_archive, save_archive
 from .autodiff import Tape, Tensor
 from .clustering import kmeans
 from .cube import PatchBatch
-from .errors import (ConfigError, DegenerateDataError, ParameterError,
-                     ShapeError, StateError)
+from .errors import (ConfigError, DegenerateDataError, FormatError,
+                     ParameterError, ShapeError, StateError)
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class CaeConfig:
     """
 
     bands: int
-    clusters: int
+    clusters: int = 2
     patch_spatial: int = 5
     kernels_per_layer: int = 32
     kernel_spatial: int = 3
@@ -88,12 +89,31 @@ class CaeConfig:
         return cls(**data)
 
 
-# parameter tensors in build (and checkpoint) order
-WEIGHT_NAMES = (
-    "enc_conv1_w", "enc_conv1_b", "enc_conv2_w", "enc_conv2_b",
-    "enc_dense_w", "enc_dense_b", "dec_dense_w", "dec_dense_b",
-    "dec_conv1_w", "dec_conv1_b", "dec_conv2_w", "dec_conv2_b",
-)
+def weight_specs(config: CaeConfig) -> dict[str, tuple[tuple[int, ...], int | None]]:
+    """(shape, init fan-in) of every weight tensor, in build and checkpoint order.
+
+    A fan-in of None marks a zero-initialized bias.  The decoder tensors
+    mirror the encoder tensors shape for shape.
+    """
+    k, ks, kd = config.kernels_per_layer, config.kernel_spatial, config.kernel_depth
+    n, flat = config.embedding_dim, config.flat_dim
+    kernel_volume = ks * ks * kd
+    return {
+        "enc_conv1_w": ((k, 1, ks, ks, kd), kernel_volume),
+        "enc_conv1_b": ((k,), None),
+        "enc_conv2_w": ((k, k, ks, ks, kd), k * kernel_volume),
+        "enc_conv2_b": ((k,), None),
+        "enc_dense_w": ((n, flat), flat),
+        "enc_dense_b": ((n,), None),
+        "dec_dense_w": ((flat, n), n),
+        "dec_dense_b": ((flat,), None),
+        "dec_conv1_w": ((k, k, ks, ks, kd), k * kernel_volume),
+        "dec_conv1_b": ((k,), None),
+        "dec_conv2_w": ((k, 1, ks, ks, kd), k * kernel_volume),
+        "dec_conv2_b": ((1,), None),
+    }
+
+
 CENTERS_NAME = "centers"
 
 
@@ -106,7 +126,7 @@ class CaeParams:
 
     def __init__(self, config: CaeConfig, weights: dict[str, Tensor],
                  centers: Tensor | None = None):
-        missing = set(WEIGHT_NAMES) - set(weights)
+        missing = set(weight_specs(config)) - set(weights)
         if missing:
             raise ParameterError(f"missing parameter tensors: {sorted(missing)}")
         self.config = config
@@ -114,11 +134,11 @@ class CaeParams:
         self.centers = centers
 
     def weight_items(self) -> list[tuple[str, Tensor]]:
-        return [(name, self.weights[name]) for name in WEIGHT_NAMES]
+        return [(name, self.weights[name]) for name in weight_specs(self.config)]
 
-    def trainable_items(self, include_centers: bool = True) -> list[tuple[str, Tensor]]:
+    def trainable_items(self) -> list[tuple[str, Tensor]]:
         items = self.weight_items()
-        if include_centers and self.centers is not None:
+        if self.centers is not None:
             items.append((CENTERS_NAME, self.centers))
         return items
 
@@ -130,37 +150,20 @@ class CaeParams:
 
 def build_cae(config: CaeConfig, rng: np.random.Generator) -> CaeParams:
     """Fresh parameters, weights uniform in +/- sqrt(6 / fan_in), zero biases."""
-    k, ks, kd = config.kernels_per_layer, config.kernel_spatial, config.kernel_depth
-    n, flat = config.embedding_dim, config.flat_dim
-
-    def uniform(shape, fan_in):
-        limit = np.sqrt(6.0 / fan_in)
-        return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
-
-    def zeros(size):
-        return Tensor(np.zeros(size), requires_grad=True)
-
-    kernel_volume = ks * ks * kd
-    weights = {
-        "enc_conv1_w": uniform((k, 1, ks, ks, kd), kernel_volume),
-        "enc_conv1_b": zeros(k),
-        "enc_conv2_w": uniform((k, k, ks, ks, kd), k * kernel_volume),
-        "enc_conv2_b": zeros(k),
-        "enc_dense_w": uniform((n, flat), flat),
-        "enc_dense_b": zeros(n),
-        "dec_dense_w": uniform((flat, n), n),
-        "dec_dense_b": zeros(flat),
-        "dec_conv1_w": uniform((k, k, ks, ks, kd), k * kernel_volume),
-        "dec_conv1_b": zeros(k),
-        "dec_conv2_w": uniform((k, 1, ks, ks, kd), k * kernel_volume),
-        "dec_conv2_b": zeros(1),
-    }
+    weights = {}
+    for name, (shape, fan_in) in weight_specs(config).items():
+        if fan_in is None:
+            data = np.zeros(shape)
+        else:
+            limit = np.sqrt(6.0 / fan_in)
+            data = rng.uniform(-limit, limit, size=shape)
+        weights[name] = Tensor(data, requires_grad=True)
     return CaeParams(config, weights)
 
 
-def _check_patch_shape(config: CaeConfig, patches: np.ndarray, rank: int):
+def _check_patch_shape(config: CaeConfig, patches: np.ndarray):
     expected = (config.patch_spatial, config.patch_spatial, config.bands)
-    if patches.ndim != rank or patches.shape[-3:] != expected:
+    if patches.ndim != 4 or patches.shape[1:] != expected:
         raise ShapeError(f"patch shape {patches.shape} does not match config {expected}")
 
 
@@ -168,8 +171,8 @@ def encode_batch(params: CaeParams, patches, mode: str = "infer",
                  rng: np.random.Generator | None = None,
                  tape: Tape | None = None) -> Tensor:
     """Embed a (count, s, s, bands) batch of patches into (count, n) latents."""
-    x = patches.data if isinstance(patches, Tensor) else np.asarray(patches, dtype=np.float64)
-    _check_patch_shape(params.config, x, 4)
+    x = ad.as_tensor(patches).data
+    _check_patch_shape(params.config, x)
     w = params.weights
     h = ad.conv3d(Tensor(x[:, None]), w["enc_conv1_w"], w["enc_conv1_b"], tape)
     h = ad.dropout(h, params.config.dropout_p, mode, rng, tape)
@@ -178,19 +181,9 @@ def encode_batch(params: CaeParams, patches, mode: str = "infer",
     return ad.dense(flat, w["enc_dense_w"], w["enc_dense_b"], tape)
 
 
-def encode(params: CaeParams, patch, mode: str = "infer",
-           rng: np.random.Generator | None = None,
-           tape: Tape | None = None) -> Tensor:
-    """Embed a single (s, s, bands) patch into an n-vector."""
-    x = patch.data if isinstance(patch, Tensor) else np.asarray(patch, dtype=np.float64)
-    _check_patch_shape(params.config, x, 3)
-    z = encode_batch(params, x[None], mode, rng, tape)
-    return ad.reshape(z, (params.config.embedding_dim,), tape)
-
-
 def decode_batch(params: CaeParams, latents, tape: Tape | None = None) -> Tensor:
     """Reconstruct (count, s, s, bands) patches from (count, n) latents."""
-    z = latents if isinstance(latents, Tensor) else Tensor(latents)
+    z = ad.as_tensor(latents)
     cfg = params.config
     if z.data.ndim != 2 or z.data.shape[1] != cfg.embedding_dim:
         raise ShapeError(f"latents {z.data.shape} do not match embedding size "
@@ -202,18 +195,6 @@ def decode_batch(params: CaeParams, latents, tape: Tape | None = None) -> Tensor
     return ad.conv3d_transpose(u, w["dec_conv2_w"], w["dec_conv2_b"], tape)
 
 
-def decode(params: CaeParams, latent, tape: Tape | None = None) -> Tensor:
-    """Reconstruct one (s, s, bands) patch from an n-vector latent."""
-    z = latent if isinstance(latent, Tensor) else Tensor(latent)
-    if z.data.shape != (params.config.embedding_dim,):
-        raise ShapeError(f"latent must have shape ({params.config.embedding_dim},), "
-                         f"got {z.data.shape}")
-    zb = ad.reshape(z, (1, params.config.embedding_dim), tape)
-    out = decode_batch(params, zb, tape)
-    cfg = params.config
-    return ad.reshape(out, (cfg.patch_spatial, cfg.patch_spatial, cfg.bands), tape)
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -221,8 +202,8 @@ def decode(params: CaeParams, latent, tape: Tape | None = None) -> Tensor:
 def reconstruction_loss(batch_in, batch_out, tape: Tape | None = None) -> Tensor:
     """Mean over patches of the summed squared reconstruction error."""
     x = batch_in.patches if isinstance(batch_in, PatchBatch) else batch_in
-    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    out = batch_out if isinstance(batch_out, Tensor) else Tensor(batch_out)
+    x = ad.as_tensor(x).data
+    out = ad.as_tensor(batch_out)
     if x.shape != out.data.shape:
         raise ShapeError(f"input {x.shape} and reconstruction {out.data.shape} disagree")
     if x.ndim < 1 or len(x) == 0:
@@ -239,9 +220,7 @@ def soft_assign(latents, centers, tape: Tape | None = None) -> Tensor:
     """
     if centers is None:
         raise StateError("cluster centers have not been initialized")
-    z = latents if isinstance(latents, Tensor) else Tensor(latents)
-    c = centers if isinstance(centers, Tensor) else Tensor(centers)
-    return ad.student_t_rows(ad.pairwise_sqdist(z, c, tape), tape)
+    return ad.student_t_rows(ad.pairwise_sqdist(latents, centers, tape), tape)
 
 
 def target_distribution(q: np.ndarray) -> np.ndarray:
@@ -265,11 +244,11 @@ def clustering_loss(target: np.ndarray, q, tape: Tape | None = None) -> Tensor:
 
 
 def total_loss(recon, clust, alpha: float = 0.1, tape: Tape | None = None) -> Tensor:
-    """Weighted sum of reconstruction and clustering losses."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"loss weight must lie in (0, 1), got {alpha}")
-    recon = recon if isinstance(recon, Tensor) else Tensor(recon)
-    clust = clust if isinstance(clust, Tensor) else Tensor(clust)
+    """Weighted sum L_r + alpha * L_c of reconstruction and clustering losses.
+
+    ``alpha`` is range-checked where it is configured, in
+    :class:`~hsiseg.train.TrainConfig`.
+    """
     return ad.add(recon, ad.scale(clust, alpha, tape), tape)
 
 
@@ -297,7 +276,7 @@ def save_checkpoint(params: CaeParams, path: str | Path,
     ``extra_meta`` lets callers record pipeline context (e.g. which
     reduction preceded training) alongside the architecture config.
     """
-    entries = params.trainable_items(include_centers=True)
+    entries = params.trainable_items()
     meta = {"format": "hsiseg-checkpoint", "version": _CHECKPOINT_VERSION,
             "config": params.config.to_dict()}
     if extra_meta:
@@ -306,11 +285,32 @@ def save_checkpoint(params: CaeParams, path: str | Path,
 
 
 def load_checkpoint(path: str | Path) -> tuple[CaeParams, dict]:
-    """Rebuild parameters (and the stored metadata) from a checkpoint."""
+    """Rebuild parameters (and the stored metadata) from a checkpoint.
+
+    Every tensor must have the shape :func:`build_cae` gives it under the
+    stored config, and the centers, when present, must be (clusters,
+    embedding_dim); anything else is a :class:`FormatError`.
+    """
     meta, arrays = load_archive(path)
     if meta.get("format") != "hsiseg-checkpoint":
-        raise ParameterError(f"{path} is not a parameter checkpoint")
-    config = CaeConfig.from_dict(meta["config"])
+        raise FormatError(f"{path} is not a parameter checkpoint")
+    if meta.get("version") != _CHECKPOINT_VERSION:
+        raise FormatError(f"{path} has checkpoint version {meta.get('version')!r}, "
+                          f"expected {_CHECKPOINT_VERSION}")
+    try:
+        config = CaeConfig.from_dict(meta["config"])
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise FormatError(f"{path} holds no valid architecture config: {exc}") from exc
+    expected = {name: shape for name, (shape, _) in weight_specs(config).items()}
+    if CENTERS_NAME in arrays:
+        expected[CENTERS_NAME] = (config.clusters, config.embedding_dim)
+    if set(arrays) != set(expected):
+        raise FormatError(f"{path}: missing tensors {sorted(set(expected) - set(arrays))}, "
+                          f"unexpected tensors {sorted(set(arrays) - set(expected))}")
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise FormatError(f"{path}: tensor {name} has shape {arrays[name].shape}, "
+                              f"the stored config needs {shape}")
     tensors = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
     centers = tensors.pop(CENTERS_NAME, None)
     return CaeParams(config, tensors, centers), meta

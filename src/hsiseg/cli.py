@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,40 +32,37 @@ REDUCTIONS = ("none", "pca", "smsi", "external")
 METHODS = ("cae3d", "kmeans", "gmm")
 
 
+# architecture knobs (every CaeConfig field but bands, which the cube
+# fixes) and their defaults; CaeConfig validates them once the cube is known
+ARCH_DEFAULTS = {f.name: f.default for f in fields(cae.CaeConfig) if f.name != "bands"}
+
+
 @dataclass
 class RunConfig:
-    """Everything a training or baseline run depends on."""
+    """Everything a training or baseline run depends on.
+
+    A config file is one flat JSON object.  :meth:`load` hands each key to
+    its owner: the run-level keys stay here, the architecture keys go to
+    ``arch`` (the :class:`~hsiseg.cae.CaeConfig` fields but ``bands``) and
+    the schedule keys to ``schedule`` (a :class:`~hsiseg.train.TrainConfig`).
+    """
 
     seed: int = 0
-    patch_spatial: int = 5
-    embedding_dim: int = 25
-    clusters: int = 2
-    alpha: float = 0.1
-    lr: float = 1e-4
-    batch_size: int = 256
-    stage2_epochs: int = 25
-    epsilon: float = 1e-6
     reduction: str = "none"
     method: str = "cae3d"
-    # architecture knobs with paper-scale defaults
-    kernels_per_layer: int = 32
-    kernel_spatial: int = 3
-    kernel_depth: int = 9
-    dropout_p: float = 0.5
-    stage1_max_epochs: int = 500
+    arch: dict = field(default_factory=lambda: dict(ARCH_DEFAULTS))
+    schedule: train.TrainConfig = field(default_factory=train.TrainConfig)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.reduction not in REDUCTIONS:
             raise ParameterError(f"reduction must be one of {REDUCTIONS}")
         if self.method not in METHODS:
             raise ParameterError(f"method must be one of {METHODS}")
-        for name in ("patch_spatial", "embedding_dim", "clusters", "batch_size",
-                     "stage2_epochs", "kernels_per_layer", "kernel_spatial",
-                     "kernel_depth", "stage1_max_epochs"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be positive")
+
+    def to_dict(self) -> dict:
+        """The flat key/value form that config files and artifacts use."""
+        flat = asdict(self)
+        return {**flat.pop("arch"), **flat.pop("schedule"), **flat}
 
     @classmethod
     def load(cls, path: str | Path | None, overrides: dict) -> "RunConfig":
@@ -77,11 +74,14 @@ class RunConfig:
                 raise DataError(f"cannot read config {path}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
-            unknown = set(data) - set(cls.__dataclass_fields__)
-            if unknown:
-                raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**data)
+        unknown = set(data) - set(cls().to_dict())
+        if unknown:
+            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        arch = {k: data.pop(k, default) for k, default in ARCH_DEFAULTS.items()}
+        schedule = train.TrainConfig(**{f.name: data.pop(f.name)
+                                        for f in fields(train.TrainConfig) if f.name in data})
+        return cls(**data, arch=arch, schedule=schedule)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -150,12 +150,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    cube = load_cube(args.cube)
-    if args.method == "pca":
-        reduced = reduction.pca_reduce(cube, args.dims)
-    else:
-        reduced = reduction.smsi_reduce(cube, args.dims)
-    write_cube(reduced, args.out)
+    write_cube(_apply_reduction(load_cube(args.cube), args.method, args.dims), args.out)
     return 0
 
 
@@ -170,29 +165,20 @@ def cmd_train(args) -> int:
     cube = _load_scene(args.cube, args.truth)
     t0 = time.perf_counter()
     cube = normalize(cube)
-    cube = _apply_reduction(cube, config.reduction, config.embedding_dim)
+    cube = _apply_reduction(cube, config.reduction, config.arch["embedding_dim"])
     reduction_sec = time.perf_counter() - t0
 
-    arch = cae.CaeConfig(
-        bands=cube.bands, clusters=config.clusters,
-        patch_spatial=config.patch_spatial,
-        kernels_per_layer=config.kernels_per_layer,
-        kernel_spatial=config.kernel_spatial, kernel_depth=config.kernel_depth,
-        embedding_dim=config.embedding_dim, dropout_p=config.dropout_p)
-    schedule = train.TrainConfig(
-        batch_size=config.batch_size, epsilon=config.epsilon,
-        stage1_max_epochs=config.stage1_max_epochs,
-        stage2_epochs=config.stage2_epochs, alpha=config.alpha, lr=config.lr)
+    arch = cae.CaeConfig(bands=cube.bands, **config.arch)
+    params, report = train.run_training(cube, arch, config.schedule, config.seed)
 
-    params, report = train.run_training(cube, arch, schedule, config.seed)
-
+    flat = config.to_dict()
     cae.save_checkpoint(params, out / "checkpoint.zip",
                         extra_meta={"pipeline": {"reduction": config.reduction,
                                                  "normalized": True},
-                                    "run_config": asdict(config)})
-    _write_json(out / "report.json", {"config": asdict(config), **report.to_dict()})
+                                    "run_config": flat})
+    _write_json(out / "report.json", {"config": flat, **report.to_dict()})
     _write_json(out / "timings.json", {
-        "config": asdict(config),
+        "config": flat,
         "seconds": {"reduction": reduction_sec, **report.phase_seconds,
                     "total_training": report.wall_time},
     })
@@ -234,9 +220,8 @@ def cmd_baseline(args) -> int:
         "seed": args.seed, "clusters": args.clusters,
         "reduction": args.reduction, "method": args.method,
     })
-    if config.method not in ("kmeans", "gmm"):
-        raise ParameterError("baseline method must be kmeans or gmm")
-    if config.clusters < 2:
+    clusters = config.arch["clusters"]
+    if clusters < 2:
         raise ParameterError("baselines need at least two clusters")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -244,21 +229,22 @@ def cmd_baseline(args) -> int:
     cube = _load_scene(args.cube, args.truth)
     t0 = time.perf_counter()
     work = normalize(cube)
-    work = _apply_reduction(work, config.reduction, config.embedding_dim)
+    work = _apply_reduction(work, config.reduction, config.arch["embedding_dim"])
     reduction_sec = time.perf_counter() - t0
 
     points = work.pixel_matrix()
+    flat_config = config.to_dict()
     t1 = time.perf_counter()
     if config.method == "kmeans":
-        model, flat = clustering.kmeans(points, config.clusters, seed=config.seed)
+        model, flat = clustering.kmeans(points, clusters, seed=config.seed)
         meta = {"format": "hsiseg-kmeans", "inertia": model.inertia,
-                "iterations": model.iterations, "config": asdict(config)}
+                "iterations": model.iterations, "config": flat_config}
         arrays = [("centers", model.centers)]
     else:
-        model, flat = clustering.gmm_em(points, config.clusters, seed=config.seed)
+        model, flat = clustering.gmm_em(points, clusters, seed=config.seed)
         meta = {"format": "hsiseg-gmm",
                 "log_likelihood_trace": model.log_likelihood_trace,
-                "config": asdict(config)}
+                "config": flat_config}
         arrays = [("weights", model.weights), ("means", model.means),
                   ("covariances", model.covariances)]
     cluster_sec = time.perf_counter() - t1
@@ -270,9 +256,9 @@ def cmd_baseline(args) -> int:
     save_archive(out / "model.zip", meta, arrays)
     if cube.labels is not None:
         scores = metrics.evaluate_labelings(segmap.labels, cube.labels)
-        _write_json(out / "metrics.json", {"config": asdict(config), **scores})
+        _write_json(out / "metrics.json", {"config": flat_config, **scores})
     _write_json(out / "timings.json", {
-        "config": asdict(config),
+        "config": flat_config,
         "seconds": {"reduction": reduction_sec, "clustering": cluster_sec},
     })
     return 0

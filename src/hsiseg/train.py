@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import cae
 from .autodiff import Tape, Tensor
 from .cube import HsiCube, PatchBatch, SegmentationMap, extract_patches, patch_windows
-from .errors import ParameterError, ShapeError
+from .errors import NumericalError, ParameterError, ShapeError
 
 INFERENCE_CHUNK = 4096  # patches embedded per forward pass at inference
 
@@ -128,17 +127,53 @@ def _collect_grads(items: list[tuple[str, Tensor]]) -> dict[str, np.ndarray]:
             for name, t in items}
 
 
-def _zero_grads(items: list[tuple[str, Tensor]]) -> None:
-    for _, t in items:
-        t.zero_grad()
-
-
 def embed_all(params: cae.CaeParams, patches: np.ndarray,
               chunk: int = INFERENCE_CHUNK) -> np.ndarray:
     """Inference-mode embeddings of every patch, computed in bounded chunks."""
     outputs = [cae.encode_batch(params, patches[i:i + chunk]).data
                for i in range(0, len(patches), chunk)]
     return np.concatenate(outputs, axis=0)
+
+
+def _epoch(params: cae.CaeParams, patches: np.ndarray, cfg: TrainConfig,
+           adam: AdamState, shuffle_rng: np.random.Generator,
+           dropout_rng: np.random.Generator,
+           target: np.ndarray | None = None) -> tuple[float, float]:
+    """One shuffled pass of minibatch Adam steps over ``patches``.
+
+    Without a target the batch loss is the reconstruction loss and only the
+    network weights train.  With a (count, clusters) target distribution the
+    clustering loss of the batch rows joins it through
+    :func:`cae.total_loss` and the centers train too.  Returns the
+    patch-weighted mean reconstruction loss and the clustering loss summed
+    over the batches (0 without a target).
+    """
+    items = params.weight_items() if target is None else params.trainable_items()
+    count = len(patches)
+    order = shuffle_rng.permutation(count)
+    recon_sum = 0.0
+    clust_sum = 0.0
+    for start in range(0, count, cfg.batch_size):
+        idx = order[start:start + cfg.batch_size]
+        batch = patches[idx]
+        for _, t in items:
+            t.zero_grad()
+        tape = Tape()
+        latents = cae.encode_batch(params, batch, "train", dropout_rng, tape)
+        recon = cae.reconstruction_loss(batch, cae.decode_batch(params, latents, tape), tape)
+        loss = recon
+        if target is not None:
+            q = cae.soft_assign(latents, params.centers, tape)
+            clust = cae.clustering_loss(target[idx], q, tape)
+            loss = cae.total_loss(recon, clust, cfg.alpha, tape)
+            clust_sum += float(clust.data)
+        if not np.isfinite(loss.data):
+            raise NumericalError(f"training loss {float(loss.data)} is not finite "
+                                 f"at Adam step {adam.step + 1}")
+        tape.backward(loss)
+        adam_step(items, _collect_grads(items), adam)
+        recon_sum += float(recon.data) * len(idx)
+    return recon_sum / count, clust_sum
 
 
 def train_stage1(params: cae.CaeParams, data, cfg: TrainConfig,
@@ -149,29 +184,12 @@ def train_stage1(params: cae.CaeParams, data, cfg: TrainConfig,
     Returns the per-epoch loss trace.  Each epoch's loss is the
     patch-weighted mean of its batch losses, and the run ends when two
     consecutive values differ by less than ``cfg.epsilon`` or the safety cap
-    is reached.
+    is reached.  A non-finite batch loss raises :class:`NumericalError`.
     """
     patches = _as_patch_array(data)
-    count = len(patches)
-    items = params.weight_items()
     losses: list[float] = []
     for _ in range(cfg.stage1_max_epochs):
-        order = shuffle_rng.permutation(count)
-        epoch_sum = 0.0
-        for start in range(0, count, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            batch = patches[idx]
-            _zero_grads(items)
-            tape = Tape()
-            latents = cae.encode_batch(params, batch, "train", dropout_rng, tape)
-            recon = cae.decode_batch(params, latents, tape)
-            loss = cae.reconstruction_loss(batch, recon, tape)
-            tape.backward(loss)
-            adam_step(items, _collect_grads(items), adam)
-            epoch_sum += float(loss.data) * len(idx)
-        losses.append(epoch_sum / count)
-        if not np.isfinite(losses[-1]):
-            raise ParameterError("reconstruction loss diverged to a non-finite value")
+        losses.append(_epoch(params, patches, cfg, adam, shuffle_rng, dropout_rng)[0])
         if len(losses) >= 2 and abs(losses[-1] - losses[-2]) < cfg.epsilon:
             break
     return losses
@@ -183,40 +201,25 @@ def train_stage2(params: cae.CaeParams, data, cfg: TrainConfig,
     """Joint reconstruction + clustering optimization over weights and centers.
 
     The target distribution is recomputed from inference-mode embeddings at
-    the start of each epoch and held constant within it.  Returns per-epoch
-    (reconstruction, clustering, total) triples; the epoch total recombines
-    the two epoch aggregates with the configured weight.
+    the start of each epoch and held constant within it.
+
+    Loss scale: each batch loss is the reconstruction loss *averaged* over
+    the batch's patches plus alpha times the KL divergence *summed* over its
+    rows, so the effective weight of the clustering term grows linearly with
+    ``cfg.batch_size`` (IDEC averages both terms instead).  Returns
+    per-epoch (reconstruction, clustering, total) triples: the mean
+    reconstruction loss per patch, the KL divergence summed over every
+    patch, and the two recombined with the configured weight.  A
+    non-finite batch loss raises :class:`NumericalError`.
     """
     centers = params.require_centers()
     patches = _as_patch_array(data)
-    count = len(patches)
-    items = params.trainable_items(include_centers=True)
     trace: list[tuple[float, float, float]] = []
     for _ in range(cfg.stage2_epochs):
-        latents_all = embed_all(params, patches)
-        q_all = cae.soft_assign(latents_all, centers.data).data
-        target_all = cae.target_distribution(q_all)
-
-        order = shuffle_rng.permutation(count)
-        recon_sum = 0.0
-        clust_sum = 0.0
-        for start in range(0, count, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            batch = patches[idx]
-            _zero_grads(items)
-            tape = Tape()
-            latents = cae.encode_batch(params, batch, "train", dropout_rng, tape)
-            recon_out = cae.decode_batch(params, latents, tape)
-            recon = cae.reconstruction_loss(batch, recon_out, tape)
-            q = cae.soft_assign(latents, centers, tape)
-            clust = cae.clustering_loss(target_all[idx], q, tape)
-            loss = ad.add(recon, ad.scale(clust, cfg.alpha, tape), tape)
-            tape.backward(loss)
-            adam_step(items, _collect_grads(items), adam)
-            recon_sum += float(recon.data) * len(idx)
-            clust_sum += float(clust.data)
-        epoch_recon = recon_sum / count
-        trace.append((epoch_recon, clust_sum, epoch_recon + cfg.alpha * clust_sum))
+        q_all = cae.soft_assign(embed_all(params, patches), centers.data).data
+        target = cae.target_distribution(q_all)
+        recon, clust = _epoch(params, patches, cfg, adam, shuffle_rng, dropout_rng, target)
+        trace.append((recon, clust, recon + cfg.alpha * clust))
     return trace
 
 

@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hsiseg.cli import main
+from hsiseg.cae import CaeConfig
+from hsiseg.cli import RunConfig, main
 from hsiseg.cube import load_cube, load_labels, write_cube, write_labels
+from hsiseg.errors import ParameterError
 from hsiseg.synth import generate_cube
+from hsiseg.train import TrainConfig
 
 
 def run(*argv):
@@ -121,6 +125,20 @@ class TestTrainSegment:
         assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
                    "--out-dir", tmp_path / "out") == 1
 
+    def test_alpha_zero_accepted(self, scene_dir, tmp_path):
+        """alpha = 0 is the diagnostic stage-1 continuation, not an error."""
+        config = write_config(tmp_path, alpha=0.0, stage2_epochs=1)
+        assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
+                   "--out-dir", tmp_path / "out") == 0
+
+    def test_diverging_training_exits_three(self, scene_dir, tmp_path):
+        """A learning rate this large overflows the weights; the non-finite
+        loss is a numerical error (exit 3), not a contract error."""
+        config = write_config(tmp_path, lr=1e300)
+        with np.errstate(all="ignore"):
+            assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
+                       "--out-dir", tmp_path / "out") == 3
+
     def test_unknown_config_key(self, scene_dir, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**TRAIN_CONFIG, "warp_factor": 9}))
@@ -153,6 +171,57 @@ class TestTrainSegment:
         a, b = outs
         assert (a / "checkpoint.zip").read_bytes() == (b / "checkpoint.zip").read_bytes()
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+# every key a --config file may set, with its default
+DOCUMENTED_DEFAULTS = {
+    "seed": 0, "reduction": "none", "method": "cae3d",
+    "clusters": 2, "patch_spatial": 5, "kernels_per_layer": 32, "kernel_spatial": 3,
+    "kernel_depth": 9, "embedding_dim": 25, "dropout_p": 0.5,
+    "batch_size": 256, "epsilon": 1e-6, "stage1_max_epochs": 500, "stage2_epochs": 25,
+    "alpha": 0.1, "lr": 1e-4,
+}
+
+
+class TestRunConfig:
+    def test_keys_are_run_architecture_and_schedule_fields(self):
+        """The flat keys are the run fields plus CaeConfig (minus bands) plus
+        TrainConfig, each owned by exactly one of them."""
+        run_keys = {f.name for f in fields(RunConfig)} - {"arch", "schedule"}
+        arch_keys = {f.name for f in fields(CaeConfig)} - {"bands"}
+        schedule_keys = {f.name for f in fields(TrainConfig)}
+        assert run_keys == {"seed", "reduction", "method"}
+        assert not (run_keys & arch_keys or run_keys & schedule_keys
+                    or arch_keys & schedule_keys)
+        assert run_keys | arch_keys | schedule_keys == set(DOCUMENTED_DEFAULTS)
+
+    def test_defaults(self):
+        assert RunConfig().to_dict() == DOCUMENTED_DEFAULTS
+        assert RunConfig.load(None, {}).to_dict() == DOCUMENTED_DEFAULTS
+
+    def test_accepts_every_documented_key(self, tmp_path):
+        values = {**DOCUMENTED_DEFAULTS, "seed": 4, "clusters": 5, "kernel_depth": 3,
+                  "batch_size": 8, "alpha": 0.0, "reduction": "pca"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values))
+        config = RunConfig.load(path, {"seed": None, "clusters": 6})
+        assert config.to_dict() == {**values, "clusters": 6}
+        assert config.schedule == TrainConfig(batch_size=8, alpha=0.0)
+        assert CaeConfig(bands=20, **config.arch) == CaeConfig(bands=20, clusters=6,
+                                                               kernel_depth=3)
+
+    @pytest.mark.parametrize("key", ["warp_factor", "bands", "arch", "schedule"])
+    def test_rejects_unknown_key(self, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: 1}))
+        with pytest.raises(ParameterError, match=key):
+            RunConfig.load(path, {})
+
+    def test_schedule_knobs_checked_at_load(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"alpha": 1.0}))
+        with pytest.raises(ParameterError, match="loss weight"):
+            RunConfig.load(path, {})
 
 
 class TestBaseline:

@@ -5,11 +5,11 @@ import copy
 import numpy as np
 import pytest
 
-from hsiseg import cae
+from hsiseg import cae, train
 from hsiseg.autodiff import Tensor
 from hsiseg.clustering import kmeans
 from hsiseg.cube import HsiCube, extract_patches
-from hsiseg.errors import ParameterError, ShapeError, StateError
+from hsiseg.errors import NumericalError, ParameterError, ShapeError, StateError
 from hsiseg.metrics import contingency, nmi
 from hsiseg.synth import generate_cube
 from hsiseg.train import (AdamState, TrainConfig, adam_step, embed_all,
@@ -82,6 +82,15 @@ class TestAdam:
         assert q.data[0] == 2.0
 
 
+class TestTrainConfig:
+    def test_alpha_range(self):
+        """alpha lies in [0, 1); 0 is the documented diagnostic setting."""
+        assert TrainConfig(alpha=0.0).alpha == 0.0
+        for alpha in (1.0, -0.5, 2.0):
+            with pytest.raises(ParameterError):
+                TrainConfig(alpha=alpha)
+
+
 class TestStage1:
     def test_infinite_epsilon_stops_after_two_epochs(self):
         _, _, params, batch = desk_setup()
@@ -105,6 +114,14 @@ class TestStage1:
         cfg = TrainConfig(batch_size=8)
         with pytest.raises(ParameterError):
             train_stage1(params, np.zeros((0, 5, 5, 8)), cfg, AdamState(),
+                         np.random.default_rng(0), np.random.default_rng(1))
+
+    def test_non_finite_loss_raises_numerical_error(self):
+        _, _, params, batch = desk_setup()
+        params.weights["dec_conv2_b"].data[:] = np.inf
+        cfg = TrainConfig(batch_size=32, epsilon=0.0, stage1_max_epochs=3, lr=1e-3)
+        with pytest.raises(NumericalError):
+            train_stage1(params, batch, cfg, AdamState(lr=cfg.lr),
                          np.random.default_rng(0), np.random.default_rng(1))
 
     def test_desk_scale_convergence(self):
@@ -167,6 +184,54 @@ class TestStage2:
         for (name, a), (_, b) in zip(params.weight_items(), cont_params.weight_items()):
             np.testing.assert_array_equal(a.data, b.data, err_msg=name)
         np.testing.assert_array_equal(params.centers.data, centers)
+
+    def test_non_finite_loss_raises_numerical_error(self):
+        _, params, batch, cfg, adam, s_rng, d_rng = self._pretrained()
+        latents = embed_all(params, batch.patches)
+        params.centers = Tensor(cae.init_centers(latents, 3, np.random.default_rng(1)),
+                                requires_grad=True)
+        params.weights["dec_conv2_b"].data[:] = np.nan  # decoder only: the target stays finite
+        with pytest.raises(NumericalError):
+            train_stage2(params, batch, cfg, adam, s_rng, d_rng)
+
+    def test_clustering_weight_grows_with_batch_size(self, monkeypatch):
+        """The batch loss is a per-patch mean reconstruction plus alpha times
+        the KL divergence summed over the batch rows.  A batch holding every
+        patch twice therefore keeps the reconstruction gradient and doubles
+        the clustering gradient: on the centers, which only the clustering
+        term reaches, the whole gradient doubles."""
+        _, params, batch, _, _, _, _ = self._pretrained()
+        no_dropout = cae.CaeParams(cae.CaeConfig(**{**DESK, "dropout_p": 0.0}),
+                                   params.weights)
+        latents = embed_all(no_dropout, batch.patches)
+        centers = cae.init_centers(latents, 3, np.random.default_rng(4))
+        grads = []
+        monkeypatch.setattr(train, "adam_step",
+                            lambda items, g, state: grads.append(g) or state)
+
+        def one_full_batch_step(patches, alpha):
+            model = clone_params(no_dropout)
+            model.centers = Tensor(centers.copy(), requires_grad=True)
+            cfg = TrainConfig(batch_size=len(patches), stage2_epochs=1, alpha=alpha)
+            trace = train_stage2(model, patches, cfg, AdamState(), np.random.default_rng(0),
+                                 np.random.default_rng(1))
+            return grads.pop(), trace[0]
+
+        single = batch.patches
+        double = np.concatenate([single, single])
+        g1, (r1, c1, t1) = one_full_batch_step(single, 0.1)
+        g2, (r2, c2, _) = one_full_batch_step(double, 0.1)
+        np.testing.assert_allclose(g2["centers"], 2.0 * g1["centers"], rtol=1e-9)
+        assert r2 == pytest.approx(r1, rel=1e-12)   # mean over patches
+        assert c2 == pytest.approx(2.0 * c1, rel=1e-12)  # sum over rows
+        assert t1 == pytest.approx(r1 + 0.1 * c1, rel=1e-12)
+
+        g1_recon, _ = one_full_batch_step(single, 0.0)
+        g2_recon, _ = one_full_batch_step(double, 0.0)
+        for name in g1:
+            expected = g1_recon[name] + 2.0 * (g1[name] - g1_recon[name])
+            np.testing.assert_allclose(g2[name], expected, rtol=1e-7, atol=1e-12,
+                                       err_msg=name)
 
     def test_does_not_undo_clustering(self):
         """Paired oracle: stage-2 NMI within 0.05 of k-means on embeddings."""
