@@ -9,6 +9,7 @@ and timestamps are pinned so identical contents give byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from pathlib import Path
 
@@ -35,16 +36,28 @@ def save_archive(path: str | Path, meta: dict,
             put(f"tensors/{name}.bin", np.asarray(a, dtype=np.float64).astype("<f8").tobytes())
 
 
+def _payload_array(path, entry: dict, raw: bytes) -> np.ndarray:
+    """The array a manifest entry describes; its payload must be exactly the
+    documented ``"<f8"`` bytes of its shape."""
+    name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
+    if dtype != "<f8":
+        raise FormatError(f"{path}: tensor {name!r} has dtype {dtype!r}, expected '<f8'")
+    if not isinstance(shape, list) or not all(
+            type(extent) is int and extent >= 0 for extent in shape):
+        raise FormatError(f"{path}: tensor {name!r} has no valid shape: {shape!r}")
+    if len(raw) != 8 * math.prod(shape):
+        raise FormatError(f"{path}: tensor {name!r} holds {len(raw)} bytes, its shape "
+                          f"{shape} needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def load_archive(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     try:
         with zipfile.ZipFile(path, "r") as zf:
             meta = json.loads(zf.read("meta.json"))
             manifest = json.loads(zf.read("manifest.json"))
-            arrays = {}
-            for entry in manifest:
-                raw = zf.read(entry["file"])
-                arrays[entry["name"]] = np.frombuffer(
-                    raw, dtype=entry["dtype"]).reshape(entry["shape"]).astype(np.float64)
+            arrays = {entry["name"]: _payload_array(path, entry, zf.read(entry["file"]))
+                      for entry in manifest}
     except (zipfile.BadZipFile, KeyError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path} is not a readable model archive: {exc}") from exc
     return meta, arrays

@@ -5,16 +5,14 @@ The engine is deliberately small: it provides exactly the primitives the
 explicit :class:`Tape`.  Every op takes an optional ``tape`` argument; when
 ``tape`` is ``None`` the op runs forward-only, which is what inference uses.
 
-Conventions for convolution shapes (all unit stride, no padding):
-
-* input rank 3 ``(h, w, d)`` is a single-channel volume,
-  rank 4 ``(C, h, w, d)`` is multi-channel,
-  rank 5 ``(P, C, h, w, d)`` is a batch;
-* kernels are rank 4 ``(K, kh, kw, kd)`` for single-channel input or
-  rank 5 ``(K, C, kh, kw, kd)``;
-* a transposed convolution consumes the K-channel output of the matching
-  forward convolution and produces a C-channel volume, so the same kernel
-  tensor shape serves both directions.
+Convolution layout (all unit stride, no padding): activations are
+channels-first batches ``(P, C, h, w, d)`` and kernels are ``(K, C, kh,
+kw, kd)``.  A single ``(C, h, w, d)`` volume is accepted as a batch of one
+and comes back without the batch axis; the channel axis is always explicit,
+also when it has size one.  A transposed convolution consumes the K-channel
+output of the matching forward convolution and produces a C-channel
+volume, so the same kernel tensor serves both directions.  ``dense`` maps
+``(P, n)`` rows.
 """
 
 from __future__ import annotations
@@ -110,16 +108,22 @@ def _emit(tape: Tape | None, out_data: np.ndarray, inputs: tuple[Tensor, ...],
 # convolution cores (pure numpy, shared by forward and adjoint passes)
 # ---------------------------------------------------------------------------
 
-def _spectral_windows(x5: np.ndarray, kd: int) -> np.ndarray:
-    """Channels-last sliding windows along the spectral axis.
+def _window_rows(x5: np.ndarray, kh: int, kw: int, kd: int):
+    """Yield ``(i, j, rows)`` for every spatial kernel offset of a valid correlation.
 
-    Returns a zero-copy view of shape (P, h, w, d-kd+1, C, kd).  Looping over
-    the (small) spatial kernel offsets and feeding slices of this view to one
-    GEMM per offset keeps the working set tiny; materializing windows over
-    all three kernel axes at once would blow memory up by the kernel volume.
+    ``rows`` is the (P*h'*w'*d', C*kd) matrix of channels-last spectral
+    windows at offset (i, j), so one GEMM per offset covers the whole batch.
+    Looping over the (small) spatial offsets keeps the working set tiny;
+    materializing windows over all three kernel axes at once would blow
+    memory up by the kernel volume.
     """
-    xt = x5.transpose(0, 2, 3, 4, 1)  # (P,h,w,d,C) view
-    return sliding_window_view(xt, kd, axis=3)
+    P, C, h, w, d = x5.shape
+    hp, wp, dp = h - kh + 1, w - kw + 1, d - kd + 1
+    win = sliding_window_view(x5.transpose(0, 2, 3, 4, 1), kd, axis=3)  # (P,h,w,d',C,kd)
+    m = P * hp * wp * dp
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, win[:, i:i + hp, j:j + wp].reshape(m, C * kd)
 
 
 def _correlate(x5: np.ndarray, k5: np.ndarray) -> np.ndarray:
@@ -127,14 +131,11 @@ def _correlate(x5: np.ndarray, k5: np.ndarray) -> np.ndarray:
     P, C, h, w, d = x5.shape
     K, _, kh, kw, kd = k5.shape
     hp, wp, dp = h - kh + 1, w - kw + 1, d - kd + 1
-    win = _spectral_windows(x5, kd)
     wt = np.ascontiguousarray(k5.transpose(2, 3, 1, 4, 0))  # (kh,kw,C,kd,K)
-    m = P * hp * wp * dp
-    acc = np.zeros((m, K))
-    for i in range(kh):
-        for j in range(kw):
-            sub = win[:, i:i + hp, j:j + wp].reshape(m, C * kd)
-            acc += sub @ wt[i, j].reshape(C * kd, K)
+    # in place: ``acc = acc + ...`` would add a full (m, K) temporary per offset
+    acc = np.zeros((P * hp * wp * dp, K))
+    for i, j, rows in _window_rows(x5, kh, kw, kd):
+        acc += rows @ wt[i, j].reshape(C * kd, K)
     out = acc.reshape(P, hp, wp, dp, K)
     return np.ascontiguousarray(np.moveaxis(out, -1, 1))
 
@@ -157,36 +158,24 @@ def _full_convolve(y5: np.ndarray, k5: np.ndarray) -> np.ndarray:
 
 def _kernel_adjoint(x5: np.ndarray, g5: np.ndarray, kshape: tuple[int, ...]) -> np.ndarray:
     """d(loss)/d(kernels) for _correlate, reduced over batch and positions."""
-    P, C, h, w, d = x5.shape
+    C = x5.shape[1]
     K, _, kh, kw, kd = kshape
-    hp, wp, dp = g5.shape[2:]
-    win = _spectral_windows(x5, kd)
-    gt = np.ascontiguousarray(g5.transpose(0, 2, 3, 4, 1)).reshape(P * hp * wp * dp, K)
+    gt = np.ascontiguousarray(g5.transpose(0, 2, 3, 4, 1)).reshape(-1, K)
     dk = np.empty((kh, kw, K, C * kd))
-    m = P * hp * wp * dp
-    for i in range(kh):
-        for j in range(kw):
-            sub = win[:, i:i + hp, j:j + wp].reshape(m, C * kd)
-            dk[i, j] = gt.T @ sub
+    for i, j, rows in _window_rows(x5, kh, kw, kd):
+        dk[i, j] = gt.T @ rows
     return dk.reshape(kh, kw, K, C, kd).transpose(2, 3, 0, 1, 4)
 
 
-def _to_batched_input(data: np.ndarray) -> tuple[np.ndarray, int]:
-    if data.ndim == 3:
-        return data[None, None], 3
-    if data.ndim == 4:
-        return data[None], 4
-    if data.ndim == 5:
-        return data, 5
-    raise ShapeError(f"convolution input must have rank 3, 4, or 5, got {data.ndim}")
-
-
-def _to_batched_kernels(data: np.ndarray) -> tuple[np.ndarray, int]:
-    if data.ndim == 4:
-        return data[:, None], 4
-    if data.ndim == 5:
-        return data, 5
-    raise ShapeError(f"convolution kernels must have rank 4 or 5, got {data.ndim}")
+def _conv_operands(x: Tensor, kernels: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, C, h, w, d) input and the (K, C, kh, kw, kd) kernels of a convolution."""
+    if x.data.ndim not in (4, 5):
+        raise ShapeError("convolution input must be (P, C, h, w, d) or (C, h, w, d), "
+                         f"got rank {x.data.ndim}")
+    if kernels.data.ndim != 5:
+        raise ShapeError("convolution kernels must be (K, C, kh, kw, kd), "
+                         f"got rank {kernels.data.ndim}")
+    return x.data.reshape((-1,) + x.data.shape[-4:]), kernels.data
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +185,12 @@ def _to_batched_kernels(data: np.ndarray) -> tuple[np.ndarray, int]:
 def conv3d(x, kernels, bias, tape: Tape | None = None) -> Tensor:
     """Valid 3D convolution with unit stride.
 
-    Output spatial extents shrink by ``kernel extent - 1`` per axis; a
-    multi-channel input is reduced over its channel axis.  The K output
-    channels always form a leading axis (after the batch axis, if any).
+    Output spatial extents shrink by ``kernel extent - 1`` per axis; the C
+    input channels are reduced and the K output channels form the axis after
+    the batch axis.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
-    x5, xrank = _to_batched_input(x.data)
-    k5, krank = _to_batched_kernels(kernels.data)
+    x5, k5 = _conv_operands(x, kernels)
     if k5.shape[1] != x5.shape[1]:
         raise ShapeError(
             f"kernel channels {k5.shape[1]} do not match input channels {x5.shape[1]}")
@@ -212,85 +200,62 @@ def conv3d(x, kernels, bias, tape: Tape | None = None) -> Tensor:
         raise ShapeError(f"bias must have shape ({k5.shape[0]},), got {bias.data.shape}")
 
     out5 = _correlate(x5, k5) + bias.data[None, :, None, None, None]
-    out_data = out5[0] if xrank < 5 else out5
 
     def backward(g):
-        g5 = g[None] if xrank < 5 else g
-        dx = None
-        if x.requires_grad:
-            dx5 = _full_convolve(g5, k5)
-            dx = dx5[0, 0] if xrank == 3 else (dx5[0] if xrank == 4 else dx5)
-        dk = None
-        if kernels.requires_grad:
-            dk5 = _kernel_adjoint(x5, g5, k5.shape)
-            dk = dk5[:, 0] if krank == 4 else dk5
+        g5 = g.reshape(out5.shape)
+        dx = _full_convolve(g5, k5).reshape(x.data.shape) if x.requires_grad else None
+        dk = _kernel_adjoint(x5, g5, k5.shape) if kernels.requires_grad else None
         db = g5.sum(axis=(0, 2, 3, 4)) if bias.requires_grad else None
         return dx, dk, db
 
-    return _emit(tape, out_data, (x, kernels, bias), backward)
+    return _emit(tape, out5.reshape(x.data.shape[:-4] + out5.shape[1:]),
+                 (x, kernels, bias), backward)
 
 
 def conv3d_transpose(y, kernels, bias, tape: Tape | None = None) -> Tensor:
     """Transposed 3D convolution: the linear adjoint of :func:`conv3d`.
 
     Consumes a K-channel volume and produces a C-channel volume whose
-    extents grow by ``kernel extent - 1`` per axis.  When C == 1 the channel
-    axis is squeezed away so decoder output matches the encoder input shape.
+    extents grow by ``kernel extent - 1`` per axis.
     """
     y, kernels, bias = as_tensor(y), as_tensor(kernels), as_tensor(bias)
-    y5, yrank = _to_batched_input(y.data)
-    k5, krank = _to_batched_kernels(kernels.data)
-    n_out = k5.shape[1]
+    y5, k5 = _conv_operands(y, kernels)
     if k5.shape[0] != y5.shape[1]:
         raise ShapeError(
             f"kernel count {k5.shape[0]} does not match input channels {y5.shape[1]}")
-    if bias.data.shape != (n_out,):
-        raise ShapeError(f"bias must have shape ({n_out},), got {bias.data.shape}")
+    if bias.data.shape != (k5.shape[1],):
+        raise ShapeError(f"bias must have shape ({k5.shape[1]},), got {bias.data.shape}")
 
     out5 = _full_convolve(y5, k5) + bias.data[None, :, None, None, None]
 
-    def _restore(a5):
-        a = a5[0] if yrank < 5 else a5
-        if n_out == 1:
-            a = a[0] if yrank < 5 else a[:, 0]
-        return a
-
     def backward(g):
         g5 = g.reshape(out5.shape)
-        dy = None
-        if y.requires_grad:
-            dy5 = _correlate(g5, k5)
-            dy = dy5[0, 0] if yrank == 3 else (dy5[0] if yrank == 4 else dy5)
-        dk = None
-        if kernels.requires_grad:
-            # same reduction as the forward-conv kernel adjoint with the
-            # roles of activation and adjoint swapped
-            dk5 = _kernel_adjoint(g5, y5, k5.shape)
-            dk = dk5[:, 0] if krank == 4 else dk5
+        dy = _correlate(g5, k5).reshape(y.data.shape) if y.requires_grad else None
+        # same reduction as the forward-conv kernel adjoint with the roles of
+        # activation and adjoint swapped
+        dk = _kernel_adjoint(g5, y5, k5.shape) if kernels.requires_grad else None
         db = g5.sum(axis=(0, 2, 3, 4)) if bias.requires_grad else None
         return dy, dk, db
 
-    return _emit(tape, _restore(out5), (y, kernels, bias), backward)
+    return _emit(tape, out5.reshape(y.data.shape[:-4] + out5.shape[1:]),
+                 (y, kernels, bias), backward)
 
 
 def dense(x, weights, bias, tape: Tape | None = None) -> Tensor:
-    """Affine map ``weights @ x + bias`` for a vector or a batch of vectors."""
+    """Affine map ``x @ weights.T + bias`` of a (P, n) batch of rows."""
     x, weights, bias = as_tensor(x), as_tensor(weights), as_tensor(bias)
     w, b = weights.data, bias.data
     if w.ndim != 2 or b.shape != (w.shape[0],):
         raise ShapeError(f"weights {w.shape} and bias {b.shape} disagree")
-    if x.data.ndim not in (1, 2) or x.data.shape[-1] != w.shape[1]:
+    if x.data.ndim != 2 or x.data.shape[1] != w.shape[1]:
         raise ShapeError(f"input {x.data.shape} does not match weights {w.shape}")
 
     out_data = x.data @ w.T + b
 
     def backward(g):
         dx = g @ w if x.requires_grad else None
-        if weights.requires_grad:
-            dw = np.outer(g, x.data) if x.data.ndim == 1 else g.T @ x.data
-        else:
-            dw = None
-        db = (g if x.data.ndim == 1 else g.sum(axis=0)) if bias.requires_grad else None
+        dw = g.T @ x.data if weights.requires_grad else None
+        db = g.sum(axis=0) if bias.requires_grad else None
         return dx, dw, db
 
     return _emit(tape, out_data, (x, weights, bias), backward)

@@ -26,7 +26,6 @@ from . import autodiff as ad
 from .archive import load_archive, save_archive
 from .autodiff import Tape, Tensor
 from .clustering import kmeans
-from .cube import PatchBatch
 from .errors import (ConfigError, DegenerateDataError, FormatError,
                      ParameterError, ShapeError, StateError)
 
@@ -192,7 +191,9 @@ def decode_batch(params: CaeParams, latents, tape: Tape | None = None) -> Tensor
     g = ad.dense(z, w["dec_dense_w"], w["dec_dense_b"], tape)
     g = ad.reshape(g, (len(z.data), cfg.kernels_per_layer, 1, 1, cfg.conv2_depth), tape)
     u = ad.conv3d_transpose(g, w["dec_conv1_w"], w["dec_conv1_b"], tape)
-    return ad.conv3d_transpose(u, w["dec_conv2_w"], w["dec_conv2_b"], tape)
+    u = ad.conv3d_transpose(u, w["dec_conv2_w"], w["dec_conv2_b"], tape)
+    s = cfg.patch_spatial
+    return ad.reshape(u, (len(z.data), s, s, cfg.bands), tape)  # drop the 1-channel axis
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +202,7 @@ def decode_batch(params: CaeParams, latents, tape: Tape | None = None) -> Tensor
 
 def reconstruction_loss(batch_in, batch_out, tape: Tape | None = None) -> Tensor:
     """Mean over patches of the summed squared reconstruction error."""
-    x = batch_in.patches if isinstance(batch_in, PatchBatch) else batch_in
-    x = ad.as_tensor(x).data
+    x = ad.as_tensor(batch_in).data
     out = ad.as_tensor(batch_out)
     if x.shape != out.data.shape:
         raise ShapeError(f"input {x.shape} and reconstruction {out.data.shape} disagree")

@@ -32,6 +32,9 @@ REDUCTIONS = ("none", "pca", "smsi", "external")
 METHODS = ("cae3d", "kmeans", "gmm")
 
 
+# the JSON values a config key of each declared field type accepts
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
 # architecture knobs (every CaeConfig field but bands, which the cube
 # fixes) and their defaults; CaeConfig validates them once the cube is known
 ARCH_DEFAULTS = {f.name: f.default for f in fields(cae.CaeConfig) if f.name != "bands"}
@@ -74,10 +77,20 @@ class RunConfig:
                 raise DataError(f"cannot read config {path}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
+            if not isinstance(data, dict):
+                raise ParameterError(f"config {path} must hold a JSON object, "
+                                     f"got {type(data).__name__}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         unknown = set(data) - set(cls().to_dict())
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        declared = {f.name: f.type for owner in (cls, cae.CaeConfig, train.TrainConfig)
+                    for f in fields(owner)}
+        for key, value in data.items():
+            # bool subclasses int, but true/false is never a count or a seed
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[declared[key]]):
+                raise ParameterError(f"config key {key!r} must be of type "
+                                     f"{declared[key]}, got {value!r}")
         arch = {k: data.pop(k, default) for k, default in ARCH_DEFAULTS.items()}
         schedule = train.TrainConfig(**{f.name: data.pop(f.name)
                                         for f in fields(train.TrainConfig) if f.name in data})

@@ -296,16 +296,15 @@ def patch_windows(cube: HsiCube, spatial: int) -> np.ndarray:
     return np.moveaxis(win, 2, -1)
 
 
-def extract_patches(cube: HsiCube, spatial: int = 5,
-                    include_background: bool = False) -> PatchBatch:
+def extract_patches(cube: HsiCube, spatial: int = 5) -> PatchBatch:
     """One patch per pixel, centered on it, borders mirror-reflected.
 
-    Background pixels (label 0) are skipped unless ``include_background`` is
-    set or the cube has no labels.  Coordinates enumerate pixels row-major.
+    Background pixels (label 0) are skipped; a cube without labels gives
+    every pixel.  Coordinates enumerate pixels row-major.
     """
     win = patch_windows(cube, spatial)
     ys, xs = np.mgrid[0:cube.height, 0:cube.width]
-    if cube.labels is not None and not include_background:
+    if cube.labels is not None:
         keep = cube.labels > 0
         if not keep.any():
             raise DegenerateDataError("every pixel is background; nothing to extract")

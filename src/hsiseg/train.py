@@ -25,7 +25,7 @@ import numpy as np
 
 from . import cae
 from .autodiff import Tape, Tensor
-from .cube import HsiCube, PatchBatch, SegmentationMap, extract_patches, patch_windows
+from .cube import HsiCube, SegmentationMap, extract_patches, patch_windows
 from .errors import NumericalError, ParameterError, ShapeError
 
 INFERENCE_CHUNK = 4096  # patches embedded per forward pass at inference
@@ -115,11 +115,11 @@ class TrainReport:
         }
 
 
-def _as_patch_array(data) -> np.ndarray:
-    patches = data.patches if isinstance(data, PatchBatch) else np.asarray(data)
+def _as_patch_array(patches) -> np.ndarray:
+    patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 4 or len(patches) == 0:
-        raise ParameterError("training data must be a non-empty patch batch")
-    return np.asarray(patches, dtype=np.float64)
+        raise ParameterError("training data must be a non-empty (count, s, s, bands) array")
+    return patches
 
 
 def _collect_grads(items: list[tuple[str, Tensor]]) -> dict[str, np.ndarray]:
@@ -127,11 +127,10 @@ def _collect_grads(items: list[tuple[str, Tensor]]) -> dict[str, np.ndarray]:
             for name, t in items}
 
 
-def embed_all(params: cae.CaeParams, patches: np.ndarray,
-              chunk: int = INFERENCE_CHUNK) -> np.ndarray:
-    """Inference-mode embeddings of every patch, computed in bounded chunks."""
-    outputs = [cae.encode_batch(params, patches[i:i + chunk]).data
-               for i in range(0, len(patches), chunk)]
+def embed_all(params: cae.CaeParams, patches: np.ndarray) -> np.ndarray:
+    """Inference-mode embeddings of every patch, in chunks of ``INFERENCE_CHUNK``."""
+    outputs = [cae.encode_batch(params, patches[i:i + INFERENCE_CHUNK]).data
+               for i in range(0, len(patches), INFERENCE_CHUNK)]
     return np.concatenate(outputs, axis=0)
 
 
@@ -176,7 +175,7 @@ def _epoch(params: cae.CaeParams, patches: np.ndarray, cfg: TrainConfig,
     return recon_sum / count, clust_sum
 
 
-def train_stage1(params: cae.CaeParams, data, cfg: TrainConfig,
+def train_stage1(params: cae.CaeParams, patches: np.ndarray, cfg: TrainConfig,
                  adam: AdamState, shuffle_rng: np.random.Generator,
                  dropout_rng: np.random.Generator) -> list[float]:
     """Reconstruction-only pretraining; the clustering head stays untouched.
@@ -186,7 +185,7 @@ def train_stage1(params: cae.CaeParams, data, cfg: TrainConfig,
     consecutive values differ by less than ``cfg.epsilon`` or the safety cap
     is reached.  A non-finite batch loss raises :class:`NumericalError`.
     """
-    patches = _as_patch_array(data)
+    patches = _as_patch_array(patches)
     losses: list[float] = []
     for _ in range(cfg.stage1_max_epochs):
         losses.append(_epoch(params, patches, cfg, adam, shuffle_rng, dropout_rng)[0])
@@ -195,7 +194,7 @@ def train_stage1(params: cae.CaeParams, data, cfg: TrainConfig,
     return losses
 
 
-def train_stage2(params: cae.CaeParams, data, cfg: TrainConfig,
+def train_stage2(params: cae.CaeParams, patches: np.ndarray, cfg: TrainConfig,
                  adam: AdamState, shuffle_rng: np.random.Generator,
                  dropout_rng: np.random.Generator) -> list[tuple[float, float, float]]:
     """Joint reconstruction + clustering optimization over weights and centers.
@@ -213,7 +212,7 @@ def train_stage2(params: cae.CaeParams, data, cfg: TrainConfig,
     non-finite batch loss raises :class:`NumericalError`.
     """
     centers = params.require_centers()
-    patches = _as_patch_array(data)
+    patches = _as_patch_array(patches)
     trace: list[tuple[float, float, float]] = []
     for _ in range(cfg.stage2_epochs):
         q_all = cae.soft_assign(embed_all(params, patches), centers.data).data
@@ -239,13 +238,13 @@ def run_training(cube: HsiCube, config: cae.CaeConfig, cfg: TrainConfig,
     params = cae.build_cae(config, init_rng)
     adam = AdamState(lr=cfg.lr)
 
-    stage1 = train_stage1(params, batch, cfg, adam, shuffle_rng, dropout_rng)
+    stage1 = train_stage1(params, batch.patches, cfg, adam, shuffle_rng, dropout_rng)
     t_stage1 = time.perf_counter()
     latents = embed_all(params, batch.patches)
     params.centers = Tensor(cae.init_centers(latents, config.clusters, centers_rng),
                             requires_grad=True)
     t_centers = time.perf_counter()
-    stage2 = train_stage2(params, batch, cfg, adam, shuffle_rng, dropout_rng)
+    stage2 = train_stage2(params, batch.patches, cfg, adam, shuffle_rng, dropout_rng)
     t_stage2 = time.perf_counter()
 
     report = TrainReport(seed=seed, stage1_epochs=len(stage1), stage1_losses=stage1,
@@ -256,12 +255,12 @@ def run_training(cube: HsiCube, config: cae.CaeConfig, cfg: TrainConfig,
     return params, report
 
 
-def segment(params: cae.CaeParams, cube: HsiCube,
-            chunk: int = INFERENCE_CHUNK) -> SegmentationMap:
+def segment(params: cae.CaeParams, cube: HsiCube) -> SegmentationMap:
     """Label every pixel with its most likely cluster (1-based).
 
     All pixels get a label, background included; background pixels are
-    flagged in the returned map.  Pure function of (params, cube).
+    flagged in the returned map.  Pure function of (params, cube); patches
+    are embedded ``INFERENCE_CHUNK`` at a time.
     """
     centers = params.require_centers()
     if cube.bands != params.config.bands:
@@ -270,8 +269,8 @@ def segment(params: cae.CaeParams, cube: HsiCube,
     win = patch_windows(cube, params.config.patch_spatial)
     flat_labels = np.empty(cube.height * cube.width, dtype=np.int64)
     ys, xs = np.divmod(np.arange(cube.height * cube.width), cube.width)
-    for start in range(0, len(flat_labels), chunk):
-        sel = slice(start, start + chunk)
+    for start in range(0, len(flat_labels), INFERENCE_CHUNK):
+        sel = slice(start, start + INFERENCE_CHUNK)
         patches = np.ascontiguousarray(win[ys[sel], xs[sel]])
         latents = cae.encode_batch(params, patches).data
         q = cae.soft_assign(latents, centers.data).data

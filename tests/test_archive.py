@@ -1,5 +1,7 @@
 """The deterministic model-archive container."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,39 @@ def test_missing_entries_rejected(tmp_path):
         zf.writestr("meta.json", "{}")
     with pytest.raises(FormatError):
         load_archive(tmp_path / "partial.zip")
+
+
+def _rewrite(src, dst, name, transform):
+    """Copy the archive ``src`` to ``dst`` with entry ``name`` passed through ``transform``."""
+    import zipfile
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for info in zin.infolist():
+            payload = zin.read(info)
+            zout.writestr(info, transform(payload) if info.filename == name else payload)
+
+
+def _edit_manifest(field, value):
+    def transform(payload):
+        manifest = json.loads(payload)
+        manifest[0][field] = value
+        return json.dumps(manifest).encode()
+    return transform
+
+
+@pytest.mark.parametrize("name, transform", [
+    ("tensors/x.bin", lambda payload: payload[:-3]),       # truncated mid-value
+    ("tensors/x.bin", lambda payload: payload[:-8]),       # one value short
+    ("manifest.json", _edit_manifest("shape", [7])),       # 6 values stored
+    ("manifest.json", _edit_manifest("shape", [2, -3])),
+    ("manifest.json", _edit_manifest("shape", "2x3")),
+    ("manifest.json", _edit_manifest("dtype", "<U4")),
+    ("manifest.json", _edit_manifest("dtype", "<f4")),
+], ids=["truncated", "short", "shape", "negative-shape", "shape-not-list",
+        "string-dtype", "float32-dtype"])
+def test_corrupt_payload_rejected(tmp_path, name, transform):
+    """Only the documented little-endian float64 payload, exactly
+    prod(shape) * 8 bytes long, is read back."""
+    save_archive(tmp_path / "m.zip", {"format": "demo"}, [("x", np.arange(6.0).reshape(2, 3))])
+    _rewrite(tmp_path / "m.zip", tmp_path / "bad.zip", name, transform)
+    with pytest.raises(FormatError):
+        load_archive(tmp_path / "bad.zip")

@@ -12,11 +12,7 @@ from hsiseg.errors import ParameterError, ShapeError
 
 
 def conv3d_loop_oracle(x, kernels, bias):
-    """Six-nested-loop reference convolution, single or multi channel."""
-    if x.ndim == 3:
-        x = x[None]
-    if kernels.ndim == 4:
-        kernels = kernels[:, None]
+    """Six-nested-loop reference convolution of one (C, h, w, d) volume."""
     C, h, w, d = x.shape
     K, _, kh, kw, kd = kernels.shape
     out = np.empty((K, h - kh + 1, w - kw + 1, d - kd + 1))
@@ -32,20 +28,20 @@ def conv3d_loop_oracle(x, kernels, bias):
 class TestConv3d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 4, 6))
-        out = conv3d(x, np.ones((1, 1, 1, 1)), np.zeros(1))
-        np.testing.assert_array_equal(out.data[0], x)
+        x = rng.normal(size=(1, 4, 4, 6))
+        out = conv3d(x, np.ones((1, 1, 1, 1, 1)), np.zeros(1))
+        np.testing.assert_array_equal(out.data[0], x[0])
 
     def test_all_ones_kernel_constant_input(self):
         c, b = 3.5, 0.25
-        x = np.full((4, 5, 6), c)
-        out = conv3d(x, np.ones((1, 2, 2, 2)), np.array([b]))
+        x = np.full((1, 4, 5, 6), c)
+        out = conv3d(x, np.ones((1, 1, 2, 2, 2)), np.array([b]))
         np.testing.assert_allclose(out.data, 8 * c + b)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 4, 5))
-        kernels = rng.normal(size=(2, 3, 3, 2))
+        x = rng.normal(size=(1, 4, 4, 5))
+        kernels = rng.normal(size=(2, 1, 3, 3, 2))
         bias = rng.normal(size=2)
         expected = conv3d_loop_oracle(x, kernels, bias)
         np.testing.assert_allclose(conv3d(x, kernels, bias).data, expected, atol=1e-12)
@@ -69,23 +65,32 @@ class TestConv3d:
 
     def test_kernel_larger_than_input(self):
         with pytest.raises(ShapeError):
-            conv3d(np.zeros((2, 2, 2)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+            conv3d(np.zeros((1, 2, 2, 2)), np.zeros((1, 1, 3, 3, 3)), np.zeros(1))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv3d(np.zeros((2, 4, 4, 4)), np.zeros((1, 3, 2, 2, 2)), np.zeros(1))
+
+    def test_rank3_input_rejected(self):
+        """A volume without its channel axis is not guessed to be single-channel."""
+        with pytest.raises(ShapeError):
+            conv3d(np.zeros((4, 4, 4)), np.zeros((1, 1, 2, 2, 2)), np.zeros(1))
+
+    def test_rank4_kernels_rejected(self):
+        with pytest.raises(ShapeError):
+            conv3d(np.zeros((1, 4, 4, 4)), np.zeros((1, 2, 2, 2)), np.zeros(1))
 
 
 class TestConv3dTranspose:
     def test_output_extent_grows_by_kernel_minus_one(self):
         y = np.zeros((2, 3, 4, 5))
         out = conv3d_transpose(y, np.zeros((2, 1, 3, 2, 4)), np.zeros(1))
-        assert out.data.shape == (3 + 2, 4 + 1, 5 + 3)
+        assert out.data.shape == (1, 3 + 2, 4 + 1, 5 + 3)  # the channel axis stays
 
     def test_one_by_one_kernel_scales(self):
         rng = np.random.default_rng(4)
-        y = rng.normal(size=(3, 3, 4))
-        out = conv3d_transpose(y, np.full((1, 1, 1, 1), 2.0), np.array([0.5]))
+        y = rng.normal(size=(1, 3, 3, 4))
+        out = conv3d_transpose(y, np.full((1, 1, 1, 1, 1), 2.0), np.array([0.5]))
         np.testing.assert_allclose(out.data, 2.0 * y + 0.5)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -103,27 +108,41 @@ class TestConv3dTranspose:
         rhs = float((x * rtensor.reshape(x.shape)).sum())
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
+    def test_rank3_input_rejected(self):
+        with pytest.raises(ShapeError):
+            conv3d_transpose(np.zeros((3, 3, 3)), np.zeros((1, 1, 2, 2, 2)), np.zeros(1))
+
+    def test_rank4_kernels_rejected(self):
+        with pytest.raises(ShapeError):
+            conv3d_transpose(np.zeros((1, 3, 3, 3)), np.zeros((1, 2, 2, 2)), np.zeros(1))
+
 
 class TestDense:
     def test_identity_weights(self):
-        x = np.arange(4.0)
+        x = np.arange(4.0)[None]
         out = dense(x, np.eye(4), np.zeros(4))
         np.testing.assert_array_equal(out.data, x)
 
     def test_zero_weights_returns_bias(self):
         bias = np.array([1.0, -2.0])
-        out = dense(np.ones(3), np.zeros((2, 3)), bias)
-        np.testing.assert_array_equal(out.data, bias)
+        out = dense(np.ones((1, 3)), np.zeros((2, 3)), bias)
+        np.testing.assert_array_equal(out.data, bias[None])
 
     def test_matches_naive_matmul(self):
         rng = np.random.default_rng(5)
-        x, w, b = rng.normal(size=4), rng.normal(size=(3, 4)), rng.normal(size=3)
-        expected = np.array([b[i] + sum(w[i, j] * x[j] for j in range(4)) for i in range(3)])
+        x, w, b = rng.normal(size=(1, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)
+        expected = np.array([[b[i] + sum(w[i, j] * x[0, j] for j in range(4))
+                              for i in range(3)]])
         np.testing.assert_allclose(dense(x, w, b).data, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            dense(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+            dense(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(2))
+
+    def test_vector_input_rejected(self):
+        """A single input is a (1, n) batch, never an (n,) vector."""
+        with pytest.raises(ShapeError):
+            dense(np.zeros(4), np.zeros((2, 4)), np.zeros(2))
 
 
 class TestDropout:

@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
 import json
+import zipfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hsiseg.cae import CaeConfig
+from hsiseg.autodiff import Tensor
+from hsiseg.cae import CaeConfig, build_cae, save_checkpoint
 from hsiseg.cli import RunConfig, main
 from hsiseg.cube import load_cube, load_labels, write_cube, write_labels
 from hsiseg.errors import ParameterError
@@ -148,6 +150,40 @@ class TestTrainSegment:
     def test_usage_error_is_contract_error(self):
         assert run("train", "--cube") == 1
 
+    @pytest.mark.parametrize("content", ["[1, 2]", '"config"', "3"])
+    def test_non_object_config_is_contract_error(self, scene_dir, tmp_path, content):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
+                   "--out-dir", tmp_path / "out") == 1
+
+    @pytest.mark.parametrize("override", [{"batch_size": "8"}, {"clusters": "3"},
+                                          {"stage2_epochs": True}])
+    def test_mistyped_config_value_is_contract_error(self, scene_dir, tmp_path, override):
+        config = write_config(tmp_path, **override)
+        assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
+                   "--out-dir", tmp_path / "out") == 1
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_corrupt_checkpoint_payload_is_format_error(self, scene_dir, tmp_path):
+        """A truncated tensor payload is an I/O/format error (exit 2)."""
+        params = build_cae(CaeConfig(bands=8, clusters=3, kernels_per_layer=4,
+                                     kernel_depth=3, embedding_dim=6),
+                           np.random.default_rng(0))
+        params.centers = Tensor(np.zeros((3, 6)), requires_grad=True)
+        save_checkpoint(params, tmp_path / "good.zip")
+        with zipfile.ZipFile(tmp_path / "good.zip") as zin, \
+                zipfile.ZipFile(tmp_path / "bad.zip", "w") as zout:
+            for info in zin.infolist():
+                payload = zin.read(info)
+                if info.filename == "tensors/enc_conv1_b.bin":
+                    payload = payload[:-5]
+                zout.writestr(info, payload)
+        assert run("segment", "--checkpoint", tmp_path / "good.zip",
+                   "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "good.gt") == 0
+        assert run("segment", "--checkpoint", tmp_path / "bad.zip",
+                   "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "bad.gt") == 2
+
     def test_checkpoint_band_mismatch(self, scene_dir, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -223,6 +259,18 @@ class TestRunConfig:
         with pytest.raises(ParameterError, match="loss weight"):
             RunConfig.load(path, {})
 
+    def test_values_checked_against_declared_types(self, tmp_path):
+        """An int is accepted where a float is declared; a bool is never an int."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"alpha": 0, "lr": 1, "dropout_p": 0, "epsilon": 0}))
+        assert RunConfig.load(path, {}).schedule == TrainConfig(alpha=0, lr=1, epsilon=0)
+        for key, value in [("seed", True), ("batch_size", 8.0), ("kernel_depth", "3"),
+                           ("lr", "0.1"), ("lr", False), ("reduction", 1),
+                           ("method", None), ("clusters", [3])]:
+            path.write_text(json.dumps({key: value}))
+            with pytest.raises(ParameterError, match=key):
+                RunConfig.load(path, {})
+
 
 class TestBaseline:
     def test_kmeans_recovers_synthetic_classes(self, tmp_path):
@@ -246,6 +294,15 @@ class TestBaseline:
         meta, arrays = load_archive(out / "model.zip")
         assert meta["format"] == "hsiseg-gmm"
         assert set(arrays) == {"weights", "means", "covariances"}
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"batch_size": "8"}',
+                                         '{"clusters": "3"}', '{"seed": true}'])
+    def test_malformed_config_is_contract_error(self, scene_dir, tmp_path, content):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        assert run("baseline", "--method", "kmeans", "--config", config,
+                   "--cube", scene_dir / "cube.hsic", "--out-dir", tmp_path / "x") == 1
+        assert not (tmp_path / "x").exists()
 
     def test_single_cluster_rejected(self, scene_dir, tmp_path):
         assert run("baseline", "--method", "gmm", "--cube", scene_dir / "cube.hsic",

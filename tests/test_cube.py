@@ -159,11 +159,6 @@ class TestExtractPatches:
         xs, ys = batch.coords[:, 0], batch.coords[:, 1]
         assert np.all(cube.labels[ys, xs] > 0)
 
-    def test_background_included_on_request(self):
-        cube = random_cube(np.random.default_rng(6), labeled=True)
-        batch = extract_patches(cube, include_background=True)
-        assert len(batch) == cube.width * cube.height
-
     def test_even_spatial_rejected(self):
         cube = random_cube(np.random.default_rng(7))
         with pytest.raises(ParameterError):

@@ -95,7 +95,7 @@ class TestStage1:
     def test_infinite_epsilon_stops_after_two_epochs(self):
         _, _, params, batch = desk_setup()
         cfg = TrainConfig(batch_size=32, epsilon=np.inf, stage1_max_epochs=50, lr=1e-3)
-        losses = train_stage1(params, batch, cfg, AdamState(lr=cfg.lr),
+        losses = train_stage1(params, batch.patches, cfg, AdamState(lr=cfg.lr),
                               np.random.default_rng(0), np.random.default_rng(1))
         assert len(losses) == 2
 
@@ -104,7 +104,7 @@ class TestStage1:
         for _ in range(2):
             _, _, params, batch = desk_setup(seed=5)
             cfg = TrainConfig(batch_size=32, epsilon=0.0, stage1_max_epochs=4, lr=1e-3)
-            trace = train_stage1(params, batch, cfg, AdamState(lr=cfg.lr),
+            trace = train_stage1(params, batch.patches, cfg, AdamState(lr=cfg.lr),
                                  np.random.default_rng(2), np.random.default_rng(3))
             losses.append(trace)
         assert losses[0] == losses[1]
@@ -121,7 +121,7 @@ class TestStage1:
         params.weights["dec_conv2_b"].data[:] = np.inf
         cfg = TrainConfig(batch_size=32, epsilon=0.0, stage1_max_epochs=3, lr=1e-3)
         with pytest.raises(NumericalError):
-            train_stage1(params, batch, cfg, AdamState(lr=cfg.lr),
+            train_stage1(params, batch.patches, cfg, AdamState(lr=cfg.lr),
                          np.random.default_rng(0), np.random.default_rng(1))
 
     def test_desk_scale_convergence(self):
@@ -132,7 +132,7 @@ class TestStage1:
         params = cae.build_cae(config, np.random.default_rng(7))
         batch = extract_patches(cube)
         cfg = TrainConfig(batch_size=64, epsilon=1e-6, stage1_max_epochs=60, lr=1e-3)
-        losses = train_stage1(params, batch, cfg, AdamState(lr=cfg.lr),
+        losses = train_stage1(params, batch.patches, cfg, AdamState(lr=cfg.lr),
                               np.random.default_rng(8), np.random.default_rng(9))
         assert np.all(np.isfinite(losses))
         assert losses[-1] <= 0.1 * losses[0]
@@ -146,20 +146,20 @@ class TestStage2:
         adam = AdamState(lr=cfg.lr)
         shuffle_rng = np.random.default_rng(10)
         dropout_rng = np.random.default_rng(11)
-        train_stage1(params, batch, cfg, adam, shuffle_rng, dropout_rng)
+        train_stage1(params, batch.patches, cfg, adam, shuffle_rng, dropout_rng)
         return cube, params, batch, cfg, adam, shuffle_rng, dropout_rng
 
     def test_requires_centers(self):
         _, params, batch, cfg, adam, s_rng, d_rng = self._pretrained()
         with pytest.raises(StateError):
-            train_stage2(params, batch, cfg, adam, s_rng, d_rng)
+            train_stage2(params, batch.patches, cfg, adam, s_rng, d_rng)
 
     def test_epoch_cap(self):
         _, params, batch, cfg, adam, s_rng, d_rng = self._pretrained()
         latents = embed_all(params, batch.patches)
         params.centers = Tensor(cae.init_centers(latents, 3, np.random.default_rng(1)),
                                 requires_grad=True)
-        trace = train_stage2(params, batch, cfg, adam, s_rng, d_rng)
+        trace = train_stage2(params, batch.patches, cfg, adam, s_rng, d_rng)
         assert len(trace) == cfg.stage2_epochs <= 25
 
     def test_alpha_zero_equals_stage1_continuation(self):
@@ -178,8 +178,8 @@ class TestStage2:
         params.centers = Tensor(centers.copy(), requires_grad=True)
         cfg2 = TrainConfig(batch_size=cfg.batch_size, epsilon=0.0,
                            stage1_max_epochs=3, stage2_epochs=3, alpha=0.0, lr=cfg.lr)
-        train_stage2(params, batch, cfg2, adam, s_rng, d_rng)
-        train_stage1(cont_params, batch, cfg2, cont_adam, cont_s, cont_d)
+        train_stage2(params, batch.patches, cfg2, adam, s_rng, d_rng)
+        train_stage1(cont_params, batch.patches, cfg2, cont_adam, cont_s, cont_d)
 
         for (name, a), (_, b) in zip(params.weight_items(), cont_params.weight_items()):
             np.testing.assert_array_equal(a.data, b.data, err_msg=name)
@@ -192,7 +192,7 @@ class TestStage2:
                                 requires_grad=True)
         params.weights["dec_conv2_b"].data[:] = np.nan  # decoder only: the target stays finite
         with pytest.raises(NumericalError):
-            train_stage2(params, batch, cfg, adam, s_rng, d_rng)
+            train_stage2(params, batch.patches, cfg, adam, s_rng, d_rng)
 
     def test_clustering_weight_grows_with_batch_size(self, monkeypatch):
         """The batch loss is a per-patch mean reconstruction plus alpha times
@@ -244,17 +244,18 @@ class TestStage2:
         params.centers = Tensor(cae.init_centers(latents, 3, np.random.default_rng(3)),
                                 requires_grad=True)
         cfg2 = TrainConfig(batch_size=32, stage2_epochs=10, lr=1e-3)
-        train_stage2(params, batch, cfg2, adam, s_rng, d_rng)
+        train_stage2(params, batch.patches, cfg2, adam, s_rng, d_rng)
         seg = segment(params, cube)
         s2_nmi = nmi(contingency(seg.labels.ravel(), truth))
         assert s2_nmi >= km_nmi - 0.05
 
 
 class TestEmbedAll:
-    def test_chunking_matches_single_pass(self):
+    def test_chunking_matches_single_pass(self, monkeypatch):
         _, _, params, batch = desk_setup()
         whole = embed_all(params, batch.patches)
-        chunked = embed_all(params, batch.patches, chunk=7)
+        monkeypatch.setattr(train, "INFERENCE_CHUNK", 7)
+        chunked = embed_all(params, batch.patches)
         np.testing.assert_array_equal(whole, chunked)
 
 
@@ -297,6 +298,12 @@ class TestSegment:
         a = segment(params, cube).labels
         b = segment(params, cube).labels
         np.testing.assert_array_equal(a, b)
+
+    def test_chunking_matches_single_pass(self, monkeypatch):
+        cube, params = self._trained()
+        whole = segment(params, cube).labels
+        monkeypatch.setattr(train, "INFERENCE_CHUNK", 7)  # 110 pixels: a partial last chunk
+        np.testing.assert_array_equal(segment(params, cube).labels, whole)
 
     def test_background_flagged_but_labeled(self):
         cube, params = self._trained()
