@@ -36,10 +36,15 @@ def save_archive(path: str | Path, meta: dict,
             put(f"tensors/{name}.bin", np.asarray(a, dtype=np.float64).astype("<f8").tobytes())
 
 
-def _payload_array(path, entry: dict, raw: bytes) -> np.ndarray:
-    """The array a manifest entry describes; its payload must be exactly the
-    documented ``"<f8"`` bytes of its shape."""
-    name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
+def _payload_array(path, zf: zipfile.ZipFile, entry) -> tuple[str, np.ndarray]:
+    """The name and array of a manifest entry; its payload must be exactly
+    the documented ``"<f8"`` bytes of its shape."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"{path}: manifest entry {entry!r} is not an object")
+    name, shape, dtype, file = entry["name"], entry["shape"], entry["dtype"], entry["file"]
+    if not isinstance(name, str) or not isinstance(file, str):
+        raise FormatError(f"{path}: manifest entry {entry!r} has no valid name and file")
+    raw = zf.read(file)
     if dtype != "<f8":
         raise FormatError(f"{path}: tensor {name!r} has dtype {dtype!r}, expected '<f8'")
     if not isinstance(shape, list) or not all(
@@ -48,7 +53,7 @@ def _payload_array(path, entry: dict, raw: bytes) -> np.ndarray:
     if len(raw) != 8 * math.prod(shape):
         raise FormatError(f"{path}: tensor {name!r} holds {len(raw)} bytes, its shape "
                           f"{shape} needs {8 * math.prod(shape)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    return name, np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def load_archive(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -56,8 +61,10 @@ def load_archive(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         with zipfile.ZipFile(path, "r") as zf:
             meta = json.loads(zf.read("meta.json"))
             manifest = json.loads(zf.read("manifest.json"))
-            arrays = {entry["name"]: _payload_array(path, entry, zf.read(entry["file"]))
-                      for entry in manifest}
+            if not isinstance(meta, dict) or not isinstance(manifest, list):
+                raise FormatError(f"{path}: meta.json must hold a JSON object and "
+                                  "manifest.json a list")
+            arrays = dict(_payload_array(path, zf, entry) for entry in manifest)
     except (zipfile.BadZipFile, KeyError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path} is not a readable model archive: {exc}") from exc
     return meta, arrays

@@ -261,23 +261,20 @@ def dense(x, weights, bias, tape: Tape | None = None) -> Tensor:
     return _emit(tape, out_data, (x, weights, bias), backward)
 
 
-def dropout(x, p: float, mode: str, rng: np.random.Generator | None = None,
+def dropout(x, p: float, rng: np.random.Generator | None = None,
             tape: Tape | None = None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Inference mode is a pure identity.  Training mode draws one uniform
-    variate per element from ``rng`` even when p == 0, so a fixed seed gives
-    a bit-identical run regardless of the dropout setting.
+    Without ``rng`` (inference) it is a pure identity.  With ``rng``
+    (training) it draws one uniform variate per element even when p == 0,
+    so a fixed seed gives a bit-identical run regardless of the dropout
+    setting.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
-    if mode not in ("train", "infer"):
-        raise ParameterError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
     x = as_tensor(x)
-    if mode == "infer":
-        return x
     if rng is None:
-        raise ParameterError("training-mode dropout needs a random generator")
+        return x
 
     keep = rng.random(x.data.shape) >= p
     factor = keep / (1.0 - p)

@@ -166,15 +166,18 @@ def _check_patch_shape(config: CaeConfig, patches: np.ndarray):
         raise ShapeError(f"patch shape {patches.shape} does not match config {expected}")
 
 
-def encode_batch(params: CaeParams, patches, mode: str = "infer",
-                 rng: np.random.Generator | None = None,
+def encode_batch(params: CaeParams, patches, rng: np.random.Generator | None = None,
                  tape: Tape | None = None) -> Tensor:
-    """Embed a (count, s, s, bands) batch of patches into (count, n) latents."""
+    """Embed a (count, s, s, bands) batch of patches into (count, n) latents.
+
+    Passing ``rng`` trains: the dropout layer draws its mask from it.
+    Without it the encoder runs in inference mode and dropout is an identity.
+    """
     x = ad.as_tensor(patches).data
     _check_patch_shape(params.config, x)
     w = params.weights
     h = ad.conv3d(Tensor(x[:, None]), w["enc_conv1_w"], w["enc_conv1_b"], tape)
-    h = ad.dropout(h, params.config.dropout_p, mode, rng, tape)
+    h = ad.dropout(h, params.config.dropout_p, rng, tape)
     h = ad.conv3d(h, w["enc_conv2_w"], w["enc_conv2_b"], tape)
     flat = ad.reshape(h, (len(x), params.config.flat_dim), tape)
     return ad.dense(flat, w["enc_dense_w"], w["enc_dense_b"], tape)

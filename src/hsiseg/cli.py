@@ -23,8 +23,8 @@ import numpy as np
 
 from . import cae, clustering, metrics, reduction, synth, train
 from .archive import save_archive
-from .cube import (HsiCube, load_cube, load_labels, write_cube, write_labels,
-                   write_ppm, SegmentationMap, normalize)
+from .cube import (HsiCube, load_cube, load_labels, normalize, write_cube,
+                   write_labels, write_ppm)
 from .errors import (DataError, HsisegError, NumericalError, ParameterError,
                      ShapeError)
 
@@ -263,12 +263,10 @@ def cmd_baseline(args) -> int:
     cluster_sec = time.perf_counter() - t1
 
     labels = flat.reshape(cube.height, cube.width) + 1
-    background = (cube.labels == 0) if cube.labels is not None else None
-    segmap = SegmentationMap(labels=labels, background=background)
-    write_labels(segmap.labels, out / "map.gt")
+    write_labels(labels, out / "map.gt")
     save_archive(out / "model.zip", meta, arrays)
     if cube.labels is not None:
-        scores = metrics.evaluate_labelings(segmap.labels, cube.labels)
+        scores = metrics.evaluate_labelings(labels, cube.labels)
         _write_json(out / "metrics.json", {"config": flat_config, **scores})
     _write_json(out / "timings.json", {
         "config": flat_config,
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="label every pixel with a trained model")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--cube", required=True)
-    p.add_argument("--truth", help="ground truth used only to flag background")
+    p.add_argument("--truth", help="ground truth; only its extent is checked against the cube")
     p.add_argument("--out", required=True, help="output .gt raster path")
     p.add_argument("--ppm", help="also write a color visualization")
     p.set_defaults(func=cmd_segment)

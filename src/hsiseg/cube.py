@@ -92,12 +92,10 @@ class SegmentationMap:
     """Per-pixel integer cluster labels; 0 is reserved for background.
 
     Clusters are numbered from 1 so a map can be stored in the ground-truth
-    raster format.  ``background`` flags pixels whose source ground truth was
-    unknown; they still carry a cluster label.
+    raster format.
     """
 
-    labels: np.ndarray                    # (height, width) integer, values >= 0
-    background: np.ndarray | None = None  # (height, width) bool
+    labels: np.ndarray  # (height, width) integer, values >= 0
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels)
@@ -105,10 +103,6 @@ class SegmentationMap:
             raise ShapeError("segmentation map must be two-dimensional")
         if self.labels.min(initial=0) < 0:
             raise ParameterError("segmentation labels must be non-negative")
-        if self.background is not None:
-            self.background = np.asarray(self.background, dtype=bool)
-            if self.background.shape != self.labels.shape:
-                raise ShapeError("background mask shape must match label grid")
 
     @property
     def height(self) -> int:
@@ -137,14 +131,19 @@ def _read_header(path: Path) -> dict:
     return header
 
 
-def _require(header: dict, key: str, path: Path):
+def _require(header: dict, key: str, path: Path, kind: type = int):
+    """The value of a required header key, which must be a JSON ``kind``
+    (an int is never a bool, nor a float with an integral value)."""
     if key not in header:
         raise FormatError(f"header {path} is missing required key {key!r}")
+    if type(header[key]) is not kind:
+        raise FormatError(f"header {path}: {key!r} must be a JSON {kind.__name__}, "
+                          f"got {header[key]!r}")
     return header[key]
 
 
 def _read_payload(header: dict, path: Path, dtype: str, count: int) -> np.ndarray:
-    payload_path = path.parent / _require(header, "data", path)
+    payload_path = path.parent / _require(header, "data", path, str)
     try:
         raw = payload_path.read_bytes()
     except OSError as exc:
@@ -160,11 +159,17 @@ def load_cube(path: str | Path) -> HsiCube:
     """Load a cube from its ``.hsic`` JSON header plus raw payload."""
     path = Path(path)
     header = _read_header(path)
-    width = int(_require(header, "width", path))
-    height = int(_require(header, "height", path))
-    bands = int(_require(header, "bands", path))
+    width = _require(header, "width", path)
+    height = _require(header, "height", path)
+    bands = _require(header, "bands", path)
     if min(width, height, bands) <= 0:
         raise FormatError(f"non-positive dimensions in {path}")
+    wavelengths = header.get("wavelengths")
+    if "wavelengths" in header and not (
+            type(wavelengths) is list and len(wavelengths) == bands
+            and all(type(v) in (int, float) for v in wavelengths)):
+        raise FormatError(f"header {path}: 'wavelengths' must list {bands} numbers, "
+                          f"got {wavelengths!r}")
     if header.get("dtype", "f32") != "f32":
         raise FormatError(f"unsupported dtype {header.get('dtype')!r} in {path}")
     if header.get("interleave", "bsq") != "bsq":
@@ -175,7 +180,6 @@ def load_cube(path: str | Path) -> HsiCube:
         raise FormatError(f"payload of {path} contains non-finite values")
     # band-sequential payload -> (bands, height, width) -> (height, width, bands)
     values = flat.astype(np.float64).reshape(bands, height, width).transpose(1, 2, 0)
-    wavelengths = header.get("wavelengths")
     return HsiCube(values=values, wavelengths=wavelengths)
 
 
@@ -203,8 +207,8 @@ def load_labels(path: str | Path) -> np.ndarray:
     """Load a ``.gt`` label raster; returns an (height, width) integer array."""
     path = Path(path)
     header = _read_header(path)
-    width = int(_require(header, "width", path))
-    height = int(_require(header, "height", path))
+    width = _require(header, "width", path)
+    height = _require(header, "height", path)
     if min(width, height) <= 0:
         raise FormatError(f"non-positive dimensions in {path}")
     flat = _read_payload(header, path, "<u2", width * height)

@@ -194,36 +194,20 @@ def supervised_scores(table: ContingencyTable) -> tuple[float, float, float]:
     return p_o, aa, kappa
 
 
-def majority_vote_mapping(pred, truth, mask=None) -> np.ndarray:
-    """Relabel each cluster with the ground-truth class it overlaps most.
-
-    Lets the supervised scores be applied to an unsupervised labeling; the
-    result should always be reported as a distinct, mapped variant.  Ties
-    break toward the smaller class id.
-    """
-    table = contingency(pred, truth, mask)
-    best = table.col_labels[np.argmax(table.counts, axis=1)]
-    lookup = dict(zip(table.row_labels.tolist(), best.tolist()))
-    pred = np.asarray(pred)
-    out = np.zeros_like(pred)
-    for cluster, cls in lookup.items():
-        out[pred == cluster] = cls
-    return out
-
-
-def evaluate_labelings(pred, truth, exclude_background: bool = True) -> dict:
+def evaluate_labelings(pred, truth) -> dict:
     """Full metrics report for a predicted labeling against ground truth.
 
-    Background pixels (truth label 0) are excluded from every score when
-    ``exclude_background`` is set.  OA/AA/kappa are computed after a
-    majority-vote cluster-to-class mapping and labeled as such.
+    Background pixels (truth label 0) are excluded from every score.
+    OA/AA/kappa are computed after a majority-vote cluster-to-class mapping
+    and labeled as such: each cluster's row of the contingency table joins
+    the row of the class it overlaps most (ties toward the smaller class id).
     """
-    pred = np.asarray(pred).ravel()
     truth = np.asarray(truth).ravel()
-    mask = (truth > 0) if exclude_background else None
-    table = contingency(pred, truth, mask)
-    oa, aa, kappa = supervised_scores(contingency(
-        majority_vote_mapping(pred, truth, mask), truth, mask))
+    table = contingency(pred, truth, truth > 0)
+    mapped = np.zeros((table.col_labels.size,) * 2, dtype=np.int64)
+    np.add.at(mapped, table.counts.argmax(axis=1), table.counts)
+    oa, aa, kappa = supervised_scores(
+        ContingencyTable(mapped, table.col_labels, table.col_labels))
     return {
         "nmi": nmi(table),
         "ars": ars(pair_counts(table)),
@@ -234,5 +218,5 @@ def evaluate_labelings(pred, truth, exclude_background: bool = True) -> dict:
         "n": table.n,
         "clusters_pred": int(table.row_labels.size),
         "clusters_true": int(table.col_labels.size),
-        "masked_background": bool(exclude_background),
+        "masked_background": True,
     }

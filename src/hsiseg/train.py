@@ -29,6 +29,7 @@ from .cube import HsiCube, SegmentationMap, extract_patches, patch_windows
 from .errors import NumericalError, ParameterError, ShapeError
 
 INFERENCE_CHUNK = 4096  # patches embedded per forward pass at inference
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
 
 
 @dataclass
@@ -36,31 +37,25 @@ class AdamState:
     """First/second moment estimates per parameter, plus the shared step count."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params: list[tuple[str, Tensor]], grads: dict[str, np.ndarray],
-              state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, applied in place to the parameters."""
+def adam_step(params: list[tuple[str, Tensor]], state: AdamState) -> AdamState:
+    """One bias-corrected Adam update from each tensor's ``.grad``, applied in
+    place; a ``.grad`` of None (the tape never reached the tensor) counts as zero."""
     state.step += 1
     t = state.step
     for name, tensor in params:
-        g = grads[name]
-        if g.shape != tensor.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match "
-                             f"parameter {name} {tensor.data.shape}")
+        g = 0.0 if tensor.grad is None else tensor.grad
         m = state.m.setdefault(name, np.zeros_like(tensor.data))
         v = state.v.setdefault(name, np.zeros_like(tensor.data))
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m += (1.0 - _BETA1) * (g - m)
+        v += (1.0 - _BETA2) * (g * g - v)
+        m_hat = m / (1.0 - _BETA1 ** t)
+        v_hat = v / (1.0 - _BETA2 ** t)
+        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return state
 
 
@@ -84,10 +79,11 @@ class TrainConfig:
             raise ParameterError("stage-2 epoch count must lie in [0, 25]")
         if not 0.0 <= self.alpha < 1.0:
             raise ParameterError(f"loss weight must lie in [0, 1), got {self.alpha}")
-        if self.epsilon < 0:
-            raise ParameterError("epsilon must be non-negative")
-        if self.lr <= 0:
-            raise ParameterError("learning rate must be positive")
+        # written so that NaN fails too
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ParameterError(f"epsilon must be finite and non-negative, got {self.epsilon}")
+        if not 0.0 < self.lr < np.inf:
+            raise ParameterError(f"learning rate must be finite and positive, got {self.lr}")
 
 
 @dataclass
@@ -122,11 +118,6 @@ def _as_patch_array(patches) -> np.ndarray:
     return patches
 
 
-def _collect_grads(items: list[tuple[str, Tensor]]) -> dict[str, np.ndarray]:
-    return {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in items}
-
-
 def embed_all(params: cae.CaeParams, patches: np.ndarray) -> np.ndarray:
     """Inference-mode embeddings of every patch, in chunks of ``INFERENCE_CHUNK``."""
     outputs = [cae.encode_batch(params, patches[i:i + INFERENCE_CHUNK]).data
@@ -158,7 +149,7 @@ def _epoch(params: cae.CaeParams, patches: np.ndarray, cfg: TrainConfig,
         for _, t in items:
             t.zero_grad()
         tape = Tape()
-        latents = cae.encode_batch(params, batch, "train", dropout_rng, tape)
+        latents = cae.encode_batch(params, batch, dropout_rng, tape)
         recon = cae.reconstruction_loss(batch, cae.decode_batch(params, latents, tape), tape)
         loss = recon
         if target is not None:
@@ -170,7 +161,7 @@ def _epoch(params: cae.CaeParams, patches: np.ndarray, cfg: TrainConfig,
             raise NumericalError(f"training loss {float(loss.data)} is not finite "
                                  f"at Adam step {adam.step + 1}")
         tape.backward(loss)
-        adam_step(items, _collect_grads(items), adam)
+        adam_step(items, adam)
         recon_sum += float(recon.data) * len(idx)
     return recon_sum / count, clust_sum
 
@@ -258,9 +249,8 @@ def run_training(cube: HsiCube, config: cae.CaeConfig, cfg: TrainConfig,
 def segment(params: cae.CaeParams, cube: HsiCube) -> SegmentationMap:
     """Label every pixel with its most likely cluster (1-based).
 
-    All pixels get a label, background included; background pixels are
-    flagged in the returned map.  Pure function of (params, cube); patches
-    are embedded ``INFERENCE_CHUNK`` at a time.
+    All pixels get a label, background included.  Pure function of
+    (params, cube); patches are embedded ``INFERENCE_CHUNK`` at a time.
     """
     centers = params.require_centers()
     if cube.bands != params.config.bands:
@@ -275,6 +265,4 @@ def segment(params: cae.CaeParams, cube: HsiCube) -> SegmentationMap:
         latents = cae.encode_batch(params, patches).data
         q = cae.soft_assign(latents, centers.data).data
         flat_labels[sel] = q.argmax(axis=1) + 1
-    background = (cube.labels == 0) if cube.labels is not None else None
-    return SegmentationMap(labels=flat_labels.reshape(cube.height, cube.width),
-                           background=background)
+    return SegmentationMap(labels=flat_labels.reshape(cube.height, cube.width))

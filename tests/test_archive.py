@@ -65,11 +65,19 @@ def _edit_manifest(field, value):
     ("manifest.json", _edit_manifest("shape", "2x3")),
     ("manifest.json", _edit_manifest("dtype", "<U4")),
     ("manifest.json", _edit_manifest("dtype", "<f4")),
+    ("manifest.json", _edit_manifest("name", ["x"])),
+    ("manifest.json", _edit_manifest("file", 5)),
+    ("manifest.json", lambda payload: b'["x"]'),
+    ("manifest.json", lambda payload: b'{"a": 1}'),
+    ("manifest.json", lambda payload: b"7"),
+    ("meta.json", lambda payload: b"[1, 2]"),
 ], ids=["truncated", "short", "shape", "negative-shape", "shape-not-list",
-        "string-dtype", "float32-dtype"])
+        "string-dtype", "float32-dtype", "name-not-string", "file-not-string",
+        "manifest-of-strings", "manifest-object", "manifest-number", "meta-list"])
 def test_corrupt_payload_rejected(tmp_path, name, transform):
     """Only the documented little-endian float64 payload, exactly
-    prod(shape) * 8 bytes long, is read back."""
+    prod(shape) * 8 bytes long, is read back, and only from a JSON-object
+    meta.json and a manifest.json listing one object per tensor."""
     save_archive(tmp_path / "m.zip", {"format": "demo"}, [("x", np.arange(6.0).reshape(2, 3))])
     _rewrite(tmp_path / "m.zip", tmp_path / "bad.zip", name, transform)
     with pytest.raises(FormatError):

@@ -149,29 +149,32 @@ class TestDropout:
     def test_p_zero_train_is_identity(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(10, 10))
-        out = dropout(x, 0.0, "train", np.random.default_rng(0))
+        out = dropout(x, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out.data, x)
 
     def test_infer_is_identity_for_any_p(self):
+        """Without a generator dropout runs in inference mode."""
         x = np.ones((5, 5))
-        out = dropout(x, 0.9, "infer")
+        out = dropout(x, 0.9)
         np.testing.assert_array_equal(out.data, x)
 
     def test_inverted_scaling_preserves_mean(self):
         """Law of large numbers: the sample mean stays within 1% of 1."""
         x = np.ones(1_000_000)
-        out = dropout(x, 0.5, "train", np.random.default_rng(7))
+        out = dropout(x, 0.5, np.random.default_rng(7))
         assert abs(out.data.mean() - 1.0) < 0.01
 
     def test_deterministic_under_seed(self):
         x = np.ones(100)
-        a = dropout(x, 0.5, "train", np.random.default_rng(8)).data
-        b = dropout(x, 0.5, "train", np.random.default_rng(8)).data
+        a = dropout(x, 0.5, np.random.default_rng(8)).data
+        b = dropout(x, 0.5, np.random.default_rng(8)).data
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_probability(self):
         with pytest.raises(ParameterError):
-            dropout(np.ones(3), 1.0, "train", np.random.default_rng(0))
+            dropout(np.ones(3), 1.0, np.random.default_rng(0))
+        with pytest.raises(ParameterError):
+            dropout(np.ones(3), 1.0)  # also checked in inference mode
 
 
 class TestTapeSemantics:
@@ -270,7 +273,7 @@ class TestPrimitiveGradients:
         x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
 
         def f(tape):
-            out = dropout(x, 0.5, "train", np.random.default_rng(99), tape)
+            out = dropout(x, 0.5, np.random.default_rng(99), tape)
             return sum_all(mul(out, out, tape), tape)
 
         assert grad_check(f, x) <= 1e-4
@@ -325,7 +328,7 @@ class TestDeterminism:
             xt = Tensor(x, requires_grad=True)
             tape = Tape()
             h = conv3d(xt, Tensor(k, requires_grad=True), Tensor(b, requires_grad=True), tape)
-            h = dropout(h, 0.3, "train", np.random.default_rng(seed), tape)
+            h = dropout(h, 0.3, np.random.default_rng(seed), tape)
             loss = sum_all(mul(h, h, tape), tape)
             tape.backward(loss)
             return loss.data.copy(), xt.grad.copy()

@@ -127,6 +127,18 @@ class TestTrainSegment:
         assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
                    "--out-dir", tmp_path / "out") == 1
 
+    @pytest.mark.parametrize("key, token", [("lr", "NaN"), ("lr", "Infinity"),
+                                            ("epsilon", "NaN")])
+    def test_non_finite_schedule_value_is_contract_error(self, scene_dir, tmp_path,
+                                                         key, token):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace(f'"{key}": {TRAIN_CONFIG[key]}',
+                                                     f'"{key}": {token}'))
+        assert token in config.read_text()
+        assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
+                   "--out-dir", tmp_path / "out") == 1
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_alpha_zero_accepted(self, scene_dir, tmp_path):
         """alpha = 0 is the diagnostic stage-1 continuation, not an error."""
         config = write_config(tmp_path, alpha=0.0, stage2_epochs=1)
@@ -181,6 +193,23 @@ class TestTrainSegment:
                 zout.writestr(info, payload)
         assert run("segment", "--checkpoint", tmp_path / "good.zip",
                    "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "good.gt") == 0
+        assert run("segment", "--checkpoint", tmp_path / "bad.zip",
+                   "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "bad.gt") == 2
+
+    @pytest.mark.parametrize("entry, content", [("manifest.json", b'["x"]'),
+                                                ("meta.json", b"[1, 2]")])
+    def test_malformed_checkpoint_metadata_is_format_error(self, scene_dir, tmp_path,
+                                                           entry, content):
+        """A manifest that is not a list of objects, or a meta.json that is not
+        an object, is an I/O/format error (exit 2), not a traceback."""
+        params = build_cae(CaeConfig(bands=8, clusters=3, kernels_per_layer=4,
+                                     kernel_depth=3, embedding_dim=6),
+                           np.random.default_rng(0))
+        save_checkpoint(params, tmp_path / "good.zip")
+        with zipfile.ZipFile(tmp_path / "good.zip") as zin, \
+                zipfile.ZipFile(tmp_path / "bad.zip", "w") as zout:
+            for info in zin.infolist():
+                zout.writestr(info, content if info.filename == entry else zin.read(info))
         assert run("segment", "--checkpoint", tmp_path / "bad.zip",
                    "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "bad.gt") == 2
 

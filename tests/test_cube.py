@@ -42,7 +42,7 @@ class TestCubeIO:
     def test_header_size_arithmetic(self, tmp_path):
         """A 2x2x3 header with a 48-byte payload decodes to 12 values."""
         header = {"width": 2, "height": 2, "bands": 3, "dtype": "f32",
-                  "interleave": "bsq", "data": "tiny.raw"}
+                  "interleave": "bsq", "data": "tiny.raw", "wavelengths": [400, 650.5, 900]}
         (tmp_path / "tiny.hsic").write_text(json.dumps(header))
         payload = np.arange(12, dtype="<f4").tobytes()
         assert len(payload) == 48
@@ -50,6 +50,7 @@ class TestCubeIO:
         cube = load_cube(tmp_path / "tiny.hsic")
         assert cube.values.size == 12
         assert (cube.width, cube.height, cube.bands) == (2, 2, 3)
+        np.testing.assert_array_equal(cube.wavelengths, [400.0, 650.5, 900.0])  # ints too
         # band-sequential: first 4 payload floats are band 0, row-major
         np.testing.assert_array_equal(cube.values[:, :, 0], [[0, 1], [2, 3]])
 
@@ -79,6 +80,30 @@ class TestCubeIO:
         (tmp_path / "bad.hsic").write_text("{not json")
         with pytest.raises(FormatError):
             load_cube(tmp_path / "bad.hsic")
+
+    @pytest.mark.parametrize("override", [
+        {"bands": 8.5}, {"bands": 3.0}, {"width": [6]}, {"width": "abc"},
+        {"height": True}, {"height": None}, {"data": 5}, {"data": ["tiny.raw"]},
+        {"wavelengths": [500.0]}, {"wavelengths": "400-900"}, {"wavelengths": None},
+        {"wavelengths": [400, "500", 600]}, {"wavelengths": [400, 500, True]},
+    ])
+    def test_mistyped_header_value(self, tmp_path, override):
+        """Extents are JSON ints, data a string, wavelengths one number per band."""
+        header = {"width": 2, "height": 2, "bands": 3, "data": "tiny.raw", **override}
+        (tmp_path / "tiny.hsic").write_text(json.dumps(header))
+        (tmp_path / "tiny.raw").write_bytes(np.zeros(12, dtype="<f4").tobytes())
+        with pytest.raises(FormatError):
+            load_cube(tmp_path / "tiny.hsic")
+
+    @pytest.mark.parametrize("override", [
+        {"width": 2.0}, {"height": "2"}, {"width": False}, {"data": 5},
+    ])
+    def test_mistyped_label_header_value(self, tmp_path, override):
+        write_labels(np.ones((2, 2), dtype=int), tmp_path / "truth.gt")
+        header = {**json.loads((tmp_path / "truth.gt").read_text()), **override}
+        (tmp_path / "truth.gt").write_text(json.dumps(header))
+        with pytest.raises(FormatError):
+            load_labels(tmp_path / "truth.gt")
 
     def test_labels_roundtrip(self, tmp_path):
         labels = np.array([[0, 1, 2], [3, 0, 1]], dtype=np.int64)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from hsiseg.errors import DegenerateDataError, ParameterError
 from hsiseg.metrics import (adjusted_rand_from_table, ars, contingency,
-                            evaluate_labelings, majority_vote_mapping, nmi,
-                            pair_counts, supervised_scores)
+                            evaluate_labelings, nmi, pair_counts,
+                            supervised_scores)
 
 
 class TestContingency:
@@ -183,10 +183,20 @@ class TestSupervisedScores:
 
 class TestMajorityMapping:
     def test_clusters_map_to_dominant_class(self):
-        pred = np.array([10, 10, 10, 20, 20, 20])
-        truth = np.array([1, 1, 2, 2, 2, 2])
-        mapped = majority_vote_mapping(pred, truth)
-        np.testing.assert_array_equal(mapped, [1, 1, 1, 2, 2, 2])
+        """OA/AA/kappa are those of the labeling with each cluster replaced by
+        the class it overlaps most.  In the second case clusters 1 and 2 tie
+        between classes 1 and 2, so both take the smaller id."""
+        cases = [
+            ([10, 10, 10, 20, 20, 20], [1, 1, 2, 2, 2, 2], [1, 1, 1, 2, 2, 2],
+             (5 / 6, (1 + 3 / 4) / 2, 2 / 3)),
+            ([1, 1, 2, 2, 3], [1, 2, 1, 2, 2], [1, 1, 1, 1, 2],
+             (3 / 5, (1 + 1 / 3) / 2, 2 / 7)),
+        ]
+        for pred, truth, mapped, expected in cases:
+            report = evaluate_labelings(np.array(pred), np.array(truth))
+            scores = supervised_scores(contingency(mapped, truth))
+            assert (report["oa"], report["aa"], report["kappa"]) == scores
+            assert scores == pytest.approx(expected)
 
     def test_report_contains_everything(self):
         pred = np.array([[1, 1], [2, 2]])
