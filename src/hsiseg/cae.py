@@ -183,6 +183,31 @@ def encode_batch(params: CaeParams, patches, rng: np.random.Generator | None = N
     return ad.dense(flat, w["enc_dense_w"], w["enc_dense_b"], tape)
 
 
+def encode_scene(params: CaeParams, padded) -> np.ndarray:
+    """Inference-mode latents of every pixel of a reflect-padded scene block.
+
+    ``padded`` is an (h + s - 1, w + s - 1, bands) block with s the patch
+    size: :func:`~hsiseg.cube.reflect_pad` of a scene, or a row stripe of it
+    with its (s - 1)-row halo.  Each pixel's patch is a window of the block,
+    so the two valid convolutions run once over the block give every
+    pixel's central feature column without recomputing the overlap of
+    neighbouring patches.  Returns the (h*w, n) latents in row-major pixel
+    order, equal to :func:`encode_batch` on the pixels' patches without
+    ``rng``.
+    """
+    cfg = params.config
+    x = np.asarray(padded, dtype=np.float64)
+    s = cfg.patch_spatial
+    if x.ndim != 3 or x.shape[2] != cfg.bands or min(x.shape[:2]) < s:
+        raise ShapeError(f"padded block {x.shape} is not (>= {s}, >= {s}, {cfg.bands})")
+    w = params.weights
+    h = ad.conv3d(x[None, None], w["enc_conv1_w"], w["enc_conv1_b"])
+    h = ad.conv3d(h, w["enc_conv2_w"], w["enc_conv2_b"]).data
+    # (1, K, h, w, d2) -> (h*w, K*d2), the per-pixel flatten order of encode_batch
+    flat = h[0].transpose(1, 2, 0, 3).reshape(-1, cfg.flat_dim)
+    return ad.dense(flat, w["enc_dense_w"], w["enc_dense_b"]).data
+
+
 def decode_batch(params: CaeParams, latents, tape: Tape | None = None) -> Tensor:
     """Reconstruct (count, s, s, bands) patches from (count, n) latents."""
     z = ad.as_tensor(latents)

@@ -25,8 +25,8 @@ from . import cae, clustering, metrics, reduction, synth, train
 from .archive import save_archive
 from .cube import (HsiCube, load_cube, load_labels, normalize, write_cube,
                    write_labels, write_ppm)
-from .errors import (DataError, HsisegError, NumericalError, ParameterError,
-                     ShapeError)
+from .errors import (DataError, FormatError, HsisegError, NumericalError,
+                     ParameterError, ShapeError)
 
 REDUCTIONS = ("none", "pca", "smsi", "external")
 METHODS = ("cae3d", "kmeans", "gmm")
@@ -201,13 +201,31 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _checkpoint_pipeline(meta: dict, path: str) -> tuple[bool, str]:
+    """(normalized, reduction) recorded in a checkpoint's ``pipeline`` block.
+
+    A checkpoint without the block (or without either key) replays nothing.
+    """
+    pipeline = meta.get("pipeline", {})
+    if not isinstance(pipeline, dict):
+        raise FormatError(f"{path}: 'pipeline' must be a JSON object, got {pipeline!r}")
+    normalized = pipeline.get("normalized", False)
+    reduction_name = pipeline.get("reduction", "none")
+    if type(normalized) is not bool:
+        raise FormatError(f"{path}: pipeline 'normalized' must be a JSON bool, "
+                          f"got {normalized!r}")
+    if reduction_name not in REDUCTIONS:
+        raise FormatError(f"{path}: pipeline 'reduction' must be one of {REDUCTIONS}, "
+                          f"got {reduction_name!r}")
+    return normalized, reduction_name
+
+
 def _segment_with_checkpoint(checkpoint_path: str, cube: HsiCube):
     params, meta = cae.load_checkpoint(checkpoint_path)
-    pipeline = meta.get("pipeline", {})
-    if pipeline.get("normalized", False):
+    normalized, reduction_name = _checkpoint_pipeline(meta, checkpoint_path)
+    if normalized:
         cube = normalize(cube)
-    cube = _apply_reduction(cube, pipeline.get("reduction", "none"),
-                            params.config.embedding_dim)
+    cube = _apply_reduction(cube, reduction_name, params.config.embedding_dim)
     if cube.bands != params.config.bands:
         raise ShapeError(f"cube has {cube.bands} bands after preprocessing, "
                          f"checkpoint expects {params.config.bands}")
@@ -215,7 +233,7 @@ def _segment_with_checkpoint(checkpoint_path: str, cube: HsiCube):
 
 
 def cmd_segment(args) -> int:
-    cube = _load_scene(args.cube, args.truth)
+    cube = load_cube(args.cube)
     t0 = time.perf_counter()
     segmap, meta = _segment_with_checkpoint(args.checkpoint, cube)
     inference_sec = time.perf_counter() - t0
@@ -224,7 +242,8 @@ def cmd_segment(args) -> int:
         write_ppm(segmap, args.ppm)
     sidecar = Path(args.out).with_name(Path(args.out).stem + "_timings.json")
     _write_json(sidecar, {"config": meta.get("run_config", {}),
-                          "seconds": {"inference": inference_sec}})
+                          "seconds": {"inference": inference_sec},
+                          "px_per_s": cube.height * cube.width / inference_sec})
     return 0
 
 
@@ -343,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="label every pixel with a trained model")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--cube", required=True)
-    p.add_argument("--truth", help="ground truth; only its extent is checked against the cube")
     p.add_argument("--out", required=True, help="output .gt raster path")
     p.add_argument("--ppm", help="also write a color visualization")
     p.set_defaults(func=cmd_segment)

@@ -276,10 +276,22 @@ def normalize(cube: HsiCube) -> HsiCube:
     return HsiCube(values=scaled, labels=cube.labels, wavelengths=cube.wavelengths)
 
 
-def _reflect_pad(values: np.ndarray, margin: int) -> np.ndarray:
-    # 'reflect' mirrors about the edge pixel without repeating it, so
-    # offsets (-2,-1,0,1,2) at a corner read rows (2,1,0,1,2)
-    return np.pad(values, ((margin, margin), (margin, margin), (0, 0)), mode="reflect")
+def reflect_pad(cube: HsiCube, spatial: int) -> np.ndarray:
+    """The cube's values with a mirrored border wide enough for every patch.
+
+    Returns a (height + spatial - 1, width + spatial - 1, bands) array in
+    which the patch centered on pixel (y, x) is the spatial x spatial window
+    whose top-left corner is (y, x).  'reflect' mirrors about the edge pixel
+    without repeating it, so offsets (-2,-1,0,1,2) at a corner read rows
+    (2,1,0,1,2).
+    """
+    if spatial % 2 == 0:
+        raise ParameterError(f"patch size must be odd, got {spatial}")
+    if spatial > min(cube.width, cube.height):
+        raise ParameterError(
+            f"patch size {spatial} exceeds scene extent {min(cube.width, cube.height)}")
+    margin = (spatial - 1) // 2
+    return np.pad(cube.values, ((margin, margin), (margin, margin), (0, 0)), mode="reflect")
 
 
 def patch_windows(cube: HsiCube, spatial: int) -> np.ndarray:
@@ -288,14 +300,7 @@ def patch_windows(cube: HsiCube, spatial: int) -> np.ndarray:
     Returns an array view of shape (height, width, spatial, spatial, bands);
     selecting rows materializes only those patches.
     """
-    if spatial % 2 == 0:
-        raise ParameterError(f"patch size must be odd, got {spatial}")
-    if spatial > min(cube.width, cube.height):
-        raise ParameterError(
-            f"patch size {spatial} exceeds scene extent {min(cube.width, cube.height)}")
-    margin = (spatial - 1) // 2
-    padded = _reflect_pad(cube.values, margin)
-    win = sliding_window_view(padded, (spatial, spatial), axis=(0, 1))
+    win = sliding_window_view(reflect_pad(cube, spatial), (spatial, spatial), axis=(0, 1))
     # sliding_window_view appends window axes: (H, W, bands, s, s)
     return np.moveaxis(win, 2, -1)
 

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import cae
 from .autodiff import Tape, Tensor
-from .cube import HsiCube, SegmentationMap, extract_patches, patch_windows
+from .cube import HsiCube, SegmentationMap, extract_patches, reflect_pad
 from .errors import NumericalError, ParameterError, ShapeError
 
-INFERENCE_CHUNK = 4096  # patches embedded per forward pass at inference
+INFERENCE_CHUNK = 256  # pixels per inference forward pass (embed_all, segment)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
 
 
@@ -119,7 +119,11 @@ def _as_patch_array(patches) -> np.ndarray:
 
 
 def embed_all(params: cae.CaeParams, patches: np.ndarray) -> np.ndarray:
-    """Inference-mode embeddings of every patch, in chunks of ``INFERENCE_CHUNK``."""
+    """Inference-mode embeddings of a (count, s, s, bands) patch array.
+
+    The patches go through :func:`cae.encode_batch` ``INFERENCE_CHUNK`` at a
+    time; the rows of the result are the same for any chunk size.
+    """
     outputs = [cae.encode_batch(params, patches[i:i + INFERENCE_CHUNK]).data
                for i in range(0, len(patches), INFERENCE_CHUNK)]
     return np.concatenate(outputs, axis=0)
@@ -250,19 +254,24 @@ def segment(params: cae.CaeParams, cube: HsiCube) -> SegmentationMap:
     """Label every pixel with its most likely cluster (1-based).
 
     All pixels get a label, background included.  Pure function of
-    (params, cube); patches are embedded ``INFERENCE_CHUNK`` at a time.
+    (params, cube).  The cube is reflect-padded once, as for
+    :func:`~hsiseg.cube.extract_patches`, and encoded by
+    :func:`cae.encode_scene` in row stripes of about ``INFERENCE_CHUNK``
+    pixels (at least one row), each read with its halo of patch_spatial - 1
+    rows; memory is bounded by one stripe.  The latents equal
+    :func:`embed_all` on the pixels' patches bit for bit.
     """
     centers = params.require_centers()
     if cube.bands != params.config.bands:
         raise ShapeError(f"cube has {cube.bands} bands, model expects "
                          f"{params.config.bands}")
-    win = patch_windows(cube, params.config.patch_spatial)
-    flat_labels = np.empty(cube.height * cube.width, dtype=np.int64)
-    ys, xs = np.divmod(np.arange(cube.height * cube.width), cube.width)
-    for start in range(0, len(flat_labels), INFERENCE_CHUNK):
-        sel = slice(start, start + INFERENCE_CHUNK)
-        patches = np.ascontiguousarray(win[ys[sel], xs[sel]])
-        latents = cae.encode_batch(params, patches).data
+    padded = reflect_pad(cube, params.config.patch_spatial)
+    halo = params.config.patch_spatial - 1
+    rows = max(1, INFERENCE_CHUNK // cube.width)
+    labels = np.empty((cube.height, cube.width), dtype=np.int64)
+    for top in range(0, cube.height, rows):
+        bottom = min(top + rows, cube.height)
+        latents = cae.encode_scene(params, padded[top:bottom + halo])
         q = cae.soft_assign(latents, centers.data).data
-        flat_labels[sel] = q.argmax(axis=1) + 1
-    return SegmentationMap(labels=flat_labels.reshape(cube.height, cube.width))
+        labels[top:bottom] = q.argmax(axis=1).reshape(bottom - top, cube.width) + 1
+    return SegmentationMap(labels=labels)

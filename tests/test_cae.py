@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hsiseg.archive import load_archive, save_archive
 from hsiseg.autodiff import Tape, Tensor, grad_check
 from hsiseg.cae import (CaeConfig, build_cae, clustering_loss, decode_batch,
-                        encode_batch, init_centers, load_checkpoint,
+                        encode_batch, encode_scene, init_centers, load_checkpoint,
                         reconstruction_loss, save_checkpoint, soft_assign,
                         target_distribution, total_loss)
 from hsiseg.errors import (ConfigError, DegenerateDataError, FormatError,
@@ -139,6 +139,13 @@ class TestEncodeDecode:
             decode_batch(params, np.zeros((1, 7)))
         with pytest.raises(ShapeError):
             decode_batch(params, np.zeros(6))  # an unbatched latent
+
+    def test_scene_block_shape_checked(self):
+        params = build_cae(desk_config(), np.random.default_rng(14))
+        assert encode_scene(params, np.zeros((5, 7, 8))).shape == (3, 6)
+        for block in (np.zeros((5, 5, 9)), np.zeros((4, 7, 8)), np.zeros((5, 5))):
+            with pytest.raises(ShapeError):
+                encode_scene(params, block)
 
     def test_roundtrip_gradient(self):
         """decode(encode(x)) loss passes the finite-difference check."""

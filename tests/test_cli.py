@@ -94,6 +94,15 @@ class TestReduce:
         assert load_cube(tmp_path / "out.hsic").bands == 5
 
 
+def save_segmenter(path, extra_meta=None):
+    """A checkpoint of an untrained 8-band model with random centers."""
+    params = build_cae(CaeConfig(bands=8, clusters=3, kernels_per_layer=4,
+                                 kernel_depth=3, embedding_dim=6),
+                       np.random.default_rng(0))
+    params.centers = Tensor(np.random.default_rng(1).random((3, 6)), requires_grad=True)
+    save_checkpoint(params, path, extra_meta)
+
+
 class TestTrainSegment:
     def test_train_then_segment(self, scene_dir, tmp_path):
         config = write_config(tmp_path)
@@ -212,6 +221,47 @@ class TestTrainSegment:
                 zout.writestr(info, content if info.filename == entry else zin.read(info))
         assert run("segment", "--checkpoint", tmp_path / "bad.zip",
                    "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "bad.gt") == 2
+
+    @pytest.mark.parametrize("pipeline", [[1],
+                                          {"reduction": "bogus", "normalized": True},
+                                          {"reduction": "none", "normalized": "yes"}])
+    def test_malformed_pipeline_is_format_error(self, scene_dir, tmp_path, pipeline):
+        """The preprocessing a checkpoint asks segment to replay is checked:
+        a block that is not an object, an unknown reduction or a non-bool
+        normalized flag is an I/O/format error (exit 2)."""
+        save_segmenter(tmp_path / "good.zip",
+                       {"pipeline": {"reduction": "none", "normalized": True}})
+        save_segmenter(tmp_path / "bad.zip", {"pipeline": pipeline})
+        assert run("segment", "--checkpoint", tmp_path / "good.zip",
+                   "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "good.gt") == 0
+        assert run("segment", "--checkpoint", tmp_path / "bad.zip",
+                   "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "bad.gt") == 2
+        assert not (tmp_path / "bad.gt").exists()
+
+    def test_segment_takes_no_truth(self, scene_dir, tmp_path):
+        """segment labels every pixel whatever the ground truth says, so it
+        accepts none: --truth is a usage error (exit 1)."""
+        save_segmenter(tmp_path / "model.zip")
+        assert run("segment", "--checkpoint", tmp_path / "model.zip",
+                   "--cube", scene_dir / "cube.hsic", "--truth", scene_dir / "truth.gt",
+                   "--out", tmp_path / "map.gt") == 1
+        assert not (tmp_path / "map.gt").exists()
+
+    def test_segment_sidecar_reports_throughput(self, scene_dir, tmp_path):
+        """The wall-clock pixel rate goes to the timings sidecar only; the
+        map stays byte-identical across runs."""
+        save_segmenter(tmp_path / "model.zip")
+        maps = []
+        for name in ("a", "b"):
+            out = tmp_path / name / "map.gt"
+            out.parent.mkdir()
+            assert run("segment", "--checkpoint", tmp_path / "model.zip",
+                       "--cube", scene_dir / "cube.hsic", "--out", out) == 0
+            timings = json.loads((out.parent / "map_timings.json").read_text())
+            assert timings["px_per_s"] > 0
+            assert "px_per_s" not in out.read_text()
+            maps.append(out.read_bytes() + (out.parent / "map.gt.raw").read_bytes())
+        assert maps[0] == maps[1]
 
     def test_checkpoint_band_mismatch(self, scene_dir, tmp_path):
         config = write_config(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 from hsiseg import cae, train
 from hsiseg.autodiff import Tensor
 from hsiseg.clustering import kmeans
-from hsiseg.cube import HsiCube, extract_patches
+from hsiseg.cube import HsiCube, extract_patches, reflect_pad
 from hsiseg.errors import NumericalError, ParameterError, ShapeError, StateError
 from hsiseg.metrics import contingency, nmi
 from hsiseg.synth import generate_cube
@@ -314,6 +314,48 @@ class TestSegment:
         whole = segment(params, cube).labels
         monkeypatch.setattr(train, "INFERENCE_CHUNK", 7)  # 110 pixels: a partial last chunk
         np.testing.assert_array_equal(segment(params, cube).labels, whole)
+
+    @pytest.mark.parametrize("height, width", [(3, 9), (4, 4), (9, 3)])
+    def test_scene_smaller_than_patch_rejected(self, height, width):
+        _, params = self._trained()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ParameterError, match="exceeds scene extent"):
+            segment(params, HsiCube(values=rng.random((height, width, 8))))
+
+    @staticmethod
+    def _odd_scene():
+        """A 13-wide, 11-high scene, random weights and centers, and the
+        patchwise latents of every pixel."""
+        cube = normalize(generate_cube(13, 11, 8, 3, seed=2, noise=0.03))
+        params = cae.build_cae(cae.CaeConfig(**DESK), np.random.default_rng(1))
+        params.centers = Tensor(np.random.default_rng(2).random((3, 6)))
+        unlabeled = HsiCube(values=cube.values)
+        return cube, params, embed_all(params, extract_patches(unlabeled).patches)
+
+    def test_scene_encoder_matches_patchwise_latents(self):
+        cube, params, expected = self._odd_scene()
+        latents = cae.encode_scene(params, reflect_pad(cube, 5))
+        np.testing.assert_array_equal(latents, expected)
+
+    # 3-row stripes leave a 2-row last stripe; a chunk below the width
+    # gives 1-row stripes
+    @pytest.mark.parametrize("chunk, heights", [(3 * 13, [3, 3, 3, 2]), (5, [1] * 11)])
+    def test_stripes_match_patchwise_latents(self, monkeypatch, chunk, heights):
+        cube, params, expected = self._odd_scene()
+        monkeypatch.setattr(train, "INFERENCE_CHUNK", chunk)
+        stripes = []
+        encode_scene = cae.encode_scene
+
+        def recording(params, padded):
+            stripes.append(encode_scene(params, padded))
+            return stripes[-1]
+
+        monkeypatch.setattr(cae, "encode_scene", recording)
+        labels = segment(params, cube).labels
+        assert [len(z) for z in stripes] == [13 * h for h in heights]
+        np.testing.assert_array_equal(np.concatenate(stripes), expected)
+        q = cae.soft_assign(expected, params.centers.data).data
+        np.testing.assert_array_equal(labels.ravel(), q.argmax(axis=1) + 1)
 
     def test_background_pixels_labeled(self):
         cube, params = self._trained()
