@@ -13,6 +13,18 @@ also when it has size one.  A transposed convolution consumes the K-channel
 output of the matching forward convolution and produces a C-channel
 volume, so the same kernel tensor serves both directions.  ``dense`` maps
 ``(P, n)`` rows.
+
+Inside the convolution cores the layout is channels last, one row per
+(pixel, band): row ``((p*h' + y)*w' + x)*d + z`` holds the kh*kw*C values
+of the spatial window at valid position (y, x) and input band z.  Spectral
+tap l of a correlation then reads the rows shifted by l, so all kd taps are
+one GEMM over each row's kd-row window, taken a chunk of rows at a time.
+The last kd - 1 rows of each band run have windows that cross into the next
+run; they are invalid, dropped from every output, and carry zero adjoint,
+which makes the two adjoints the same tap GEMMs.  Every row is one GEMM row
+over its own window, so inference gives a pixel the same bits whatever
+batch or stripe it comes in (as long as BLAS runs the chunks through one
+kernel, which holds for chunks of similar size).
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParameterError, ShapeError
 
 LOG_CLAMP = 1e-12  # lower clamp applied inside log() of the KL divergence
+WORKSPACE = 1 << 17  # float64 values per chunk of convolution tap windows (1 MiB)
 
 
 class Tensor:
@@ -66,7 +79,9 @@ class Tape:
     Each record holds the op's output, its input tensors, and a closure
     mapping the output adjoint to per-input adjoints.  ``backward`` walks
     the records in exact reverse execution order and accumulates adjoints
-    additively, so fan-out sums as it must.
+    additively, so fan-out sums as it must.  A record's output is never a
+    leaf and its adjoint is complete once its record is reached, so it is
+    released there: after ``backward`` only the leaves hold a ``grad``.
     """
 
     def __init__(self):
@@ -84,7 +99,7 @@ class Tape:
             raise ParameterError("backward requires a scalar output")
         output.grad = np.asarray(1.0)
         for out, inputs, fn in reversed(self._records):
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 continue
             for tensor, adj in zip(inputs, fn(g)):
@@ -108,63 +123,128 @@ def _emit(tape: Tape | None, out_data: np.ndarray, inputs: tuple[Tensor, ...],
 # convolution cores (pure numpy, shared by forward and adjoint passes)
 # ---------------------------------------------------------------------------
 
-def _window_rows(x5: np.ndarray, kh: int, kw: int, kd: int):
-    """Yield ``(i, j, rows)`` for every spatial kernel offset of a valid correlation.
+def _spatial_rows(x5: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The (P*h'*w'*d, kh*kw*C) spatial-window rows of a (P, C, h, w, d) volume.
 
-    ``rows`` is the (P*h'*w'*d', C*kd) matrix of channels-last spectral
-    windows at offset (i, j), so one GEMM per offset covers the whole batch.
-    Looping over the (small) spatial offsets keeps the working set tiny;
-    materializing windows over all three kernel axes at once would blow
-    memory up by the kernel volume.
+    Row ``((p*h' + y)*w' + x)*d + z`` holds ``x5[p, :, y:y+kh, x:x+kw, z]``
+    in (i, j, c) order, channels last: every input band of every valid
+    spatial position, so spectral tap l of a correlation reads the rows
+    shifted by l.
     """
     P, C, h, w, d = x5.shape
-    hp, wp, dp = h - kh + 1, w - kw + 1, d - kd + 1
-    win = sliding_window_view(x5.transpose(0, 2, 3, 4, 1), kd, axis=3)  # (P,h,w,d',C,kd)
-    m = P * hp * wp * dp
-    for i in range(kh):
-        for j in range(kw):
-            yield i, j, win[:, i:i + hp, j:j + wp].reshape(m, C * kd)
+    hp, wp = h - kh + 1, w - kw + 1
+    win = sliding_window_view(x5, (kh, kw), axis=(2, 3))                  # (P,C,h',w',d,kh,kw)
+    rows = np.ascontiguousarray(win.transpose(0, 2, 3, 4, 5, 6, 1))
+    return rows.reshape(P * hp * wp * d, kh * kw * C)
+
+
+def _band_runs(g5: np.ndarray, kd: int, lead: int = 0) -> np.ndarray:
+    """A (P, K, h', w', d') adjoint as (lead + P*h'*w'*d, K) rows, zero on the invalid rows.
+
+    ``d = d' + kd - 1``: each band run carries the d' adjoint values and
+    then kd - 1 zeros, in the places of the rows a correlation drops.  The
+    runs follow ``lead`` zero rows.
+    """
+    P, K, hp, wp, dp = g5.shape
+    runs = np.zeros((lead + P * hp * wp * (dp + kd - 1), K))
+    runs[lead:].reshape(P, hp, wp, dp + kd - 1, K)[:, :, :, :dp] = g5.transpose(0, 2, 3, 4, 1)
+    return runs
+
+
+def _tap_windows(rows: np.ndarray, kd: int):
+    """Yield ``(start, windows)``: row r of ``windows`` is ``rows[start+r : start+r+kd]``.
+
+    Each chunk is copied contiguously as (rows, kd*q) with the tap axis
+    outer, at most WORKSPACE values at a time.  The chunks split the windows
+    evenly: BLAS picks its kernel by operand size, and a short last chunk
+    could round differently from the rest.
+    """
+    q = rows.shape[1]
+    n = len(rows) - kd + 1
+    if n < 1:  # an empty batch
+        return
+    win = sliding_window_view(rows, kd, axis=0).transpose(0, 2, 1)       # (n, kd, q)
+    chunks = -(-n // max(1, WORKSPACE // (kd * q)))
+    bounds = [n * c // chunks for c in range(chunks + 1)]
+    for a, b in zip(bounds, bounds[1:]):
+        yield a, np.ascontiguousarray(win[a:b]).reshape(b - a, kd * q)
+
+
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``a @ b`` into ``out`` by GEMM, also when ``a`` is a single row.
+
+    numpy hands a one-row product to GEMV, whose sums round differently, so
+    a row's result would depend on whether it came alone or in a batch.
+    """
+    if len(a) == 1:
+        out[:] = (np.concatenate([a, np.zeros_like(a)]) @ b)[:1]
+        return out
+    return np.matmul(a, b, out=out)
+
+
+def _tap_gemm(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """``out[r] = sum_l rows[r+l] @ taps[l]`` for (m, q) rows and (kd, q, K) taps.
+
+    The last kd - 1 rows of ``out`` have no full window and are zero.  Each
+    row is one GEMM row over its own window, so it does not depend on where
+    a chunk starts.
+    """
+    kd, q, K = taps.shape
+    flat = taps.reshape(kd * q, K)
+    out = np.empty((len(rows), K))
+    out[len(rows) - kd + 1:] = 0.0
+    for a, windows in _tap_windows(rows, kd):
+        _gemm(windows, flat, out[a:a + len(windows)])
+    return out
 
 
 def _correlate(x5: np.ndarray, k5: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation: (P,C,h,w,d) x (K,C,kh,kw,kd) -> (P,K,h',w',d')."""
+    """Valid cross-correlation: (P,C,h,w,d) x (K,C,kh,kw,kd) -> (P,K,h',w',d').
+
+    One tap GEMM over the spatial-window rows; the last kd - 1 rows of each
+    band run mix two runs and are dropped.
+    """
     P, C, h, w, d = x5.shape
     K, _, kh, kw, kd = k5.shape
     hp, wp, dp = h - kh + 1, w - kw + 1, d - kd + 1
-    wt = np.ascontiguousarray(k5.transpose(2, 3, 1, 4, 0))  # (kh,kw,C,kd,K)
-    # in place: ``acc = acc + ...`` would add a full (m, K) temporary per offset
-    acc = np.zeros((P * hp * wp * dp, K))
-    for i, j, rows in _window_rows(x5, kh, kw, kd):
-        acc += rows @ wt[i, j].reshape(C * kd, K)
-    out = acc.reshape(P, hp, wp, dp, K)
-    return np.ascontiguousarray(np.moveaxis(out, -1, 1))
+    taps = k5.transpose(4, 2, 3, 1, 0).reshape(kd, kh * kw * C, K)
+    out = _tap_gemm(_spatial_rows(x5, kh, kw), taps).reshape(P, hp, wp, d, K)
+    return np.ascontiguousarray(out[:, :, :, :dp].transpose(0, 4, 1, 2, 3))
 
 
 def _full_convolve(y5: np.ndarray, k5: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_correlate`: (P,K,h',w',d') -> (P,C,h,w,d)."""
+    """Adjoint of :func:`_correlate`: (P,K,h',w',d') -> (P,C,h,w,d).
+
+    Row s of the spatial-window adjoint is ``sum_l g[s-l] @ W_l.T`` over the
+    zero-padded band runs g, one tap GEMM with the taps reversed; kh*kw
+    block adds then fold the window rows back onto the volume.
+    """
     P, K, hp, wp, dp = y5.shape
     _, C, kh, kw, kd = k5.shape
     h, w, d = hp + kh - 1, wp + kw - 1, dp + kd - 1
-    yt = np.ascontiguousarray(y5.transpose(0, 2, 3, 4, 1)).reshape(P * hp * wp * dp, K)
-    wt = np.ascontiguousarray(k5.transpose(2, 3, 0, 1, 4))  # (kh,kw,K,C,kd)
+    taps = k5[..., ::-1].transpose(4, 0, 2, 3, 1).reshape(kd, K, kh * kw * C)
+    cols = _tap_gemm(_band_runs(y5, kd, lead=kd - 1), taps)[:P * hp * wp * d]
+    cols = cols.reshape(P, hp, wp, d, kh, kw, C)
     out = np.zeros((P, h, w, d, C))
     for i in range(kh):
         for j in range(kw):
-            blk = (yt @ wt[i, j].reshape(K, C * kd)).reshape(P, hp, wp, dp, C, kd)
-            for l in range(kd):
-                out[:, i:i + hp, j:j + wp, l:l + dp] += blk[..., l]
-    return np.ascontiguousarray(np.moveaxis(out, -1, 1))
+            out[:, i:i + hp, j:j + wp] += cols[:, :, :, :, i, j]
+    return np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3))
 
 
 def _kernel_adjoint(x5: np.ndarray, g5: np.ndarray, kshape: tuple[int, ...]) -> np.ndarray:
-    """d(loss)/d(kernels) for _correlate, reduced over batch and positions."""
+    """d(loss)/d(kernels) for _correlate, reduced over batch and positions.
+
+    Tap l is ``rows[l:l+n].T @ g`` with g zero on the invalid rows, summed
+    chunk by chunk over the tap windows.
+    """
     C = x5.shape[1]
     K, _, kh, kw, kd = kshape
-    gt = np.ascontiguousarray(g5.transpose(0, 2, 3, 4, 1)).reshape(-1, K)
-    dk = np.empty((kh, kw, K, C * kd))
-    for i, j, rows in _window_rows(x5, kh, kw, kd):
-        dk[i, j] = gt.T @ rows
-    return dk.reshape(kh, kw, K, C, kd).transpose(2, 3, 0, 1, 4)
+    g = _band_runs(g5, kd)
+    dk = np.zeros((kd * kh * kw * C, K))
+    for a, windows in _tap_windows(_spatial_rows(x5, kh, kw), kd):
+        dk += windows.T @ g[a:a + len(windows)]
+    return dk.reshape(kd, kh, kw, C, K).transpose(4, 3, 1, 2, 0)
 
 
 def _conv_operands(x: Tensor, kernels: Tensor) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +330,8 @@ def dense(x, weights, bias, tape: Tape | None = None) -> Tensor:
     if x.data.ndim != 2 or x.data.shape[1] != w.shape[1]:
         raise ShapeError(f"input {x.data.shape} does not match weights {w.shape}")
 
-    out_data = x.data @ w.T + b
+    out_data = _gemm(x.data, w.T, np.empty((len(x.data), len(w))))
+    out_data += b
 
     def backward(g):
         dx = g @ w if x.requires_grad else None

@@ -3,6 +3,7 @@ identities, and finite-difference gradient checks for every primitive."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hsiseg.autodiff import (Tape, Tensor, add, conv3d, conv3d_transpose,
                              dense, dropout, grad_check, kl_divergence, mul,
@@ -23,6 +24,79 @@ def conv3d_loop_oracle(x, kernels, bias):
                     window = x[:, i:i + kh, j:j + kw, l:l + kd]
                     out[k, i, j, l] = bias[k] + float((window * kernels[k]).sum())
     return out
+
+
+def correlate_reference(x, kernels):
+    """Valid correlation of (P, C, h, w, d) by (K, C, kh, kw, kd): one einsum
+    over every window, with no GEMM layout in common with the library."""
+    win = sliding_window_view(x, kernels.shape[2:], axis=(2, 3, 4))
+    return np.einsum("pcxyzijl,kcijl->pkxyz", win, kernels)
+
+
+def full_convolve_reference(y, kernels):
+    """The adjoint of ``correlate_reference``: correlate the zero-padded
+    (P, K, ...) volume with the flipped kernels, channel axes swapped."""
+    kh, kw, kd = kernels.shape[2:]
+    padded = np.pad(y, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (kd - 1, kd - 1)))
+    return correlate_reference(padded, kernels[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
+
+
+def kernel_adjoint_reference(x, g, kshape):
+    """d<correlate(x, W), g>/dW as one einsum over the windows of x."""
+    win = sliding_window_view(x, kshape[2:], axis=(2, 3, 4))
+    return np.einsum("pcxyzijl,pkxyz->kcijl", win, g)
+
+
+def assert_close_to_reference(actual, expected):
+    """Within 1e-12 of the reference, relative to its largest magnitude."""
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+# (P, C, K, volume extents, kernel extents): C = 1 with odd extents; P = 1 with
+# a single output band (kd = d) and kh = h; a batch with every extent distinct
+REFERENCE_CASES = [
+    (2, 1, 3, (5, 7, 9), (3, 3, 4)),
+    (1, 3, 2, (3, 5, 4), (3, 2, 4)),
+    (3, 2, 4, (5, 3, 7), (2, 3, 3)),
+]
+
+
+def _adjoints(op, inp, kernels, bias, upstream):
+    """The op's output and the adjoints of its input and kernels under <out, upstream>."""
+    tensors = [Tensor(a, requires_grad=True) for a in (inp, kernels, bias)]
+    tape = Tape()
+    out = op(*tensors, tape)
+    tape.backward(sum_all(mul(out, Tensor(upstream), tape), tape))
+    return out.data, tensors[0].grad, tensors[1].grad
+
+
+class TestConvAgainstReference:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_conv3d(self, case):
+        P, C, K, extents, kext = case
+        rng = np.random.default_rng(sum(extents))
+        x = rng.normal(size=(P, C) + extents)
+        kernels = rng.normal(size=(K, C) + kext)
+        out_extents = tuple(e - k + 1 for e, k in zip(extents, kext))
+        g = rng.normal(size=(P, K) + out_extents)
+        out, dx, dk = _adjoints(conv3d, x, kernels, np.zeros(K), g)
+        assert_close_to_reference(out, correlate_reference(x, kernels))
+        assert_close_to_reference(dx, full_convolve_reference(g, kernels))
+        assert_close_to_reference(dk, kernel_adjoint_reference(x, g, kernels.shape))
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_conv3d_transpose(self, case):
+        P, C, K, extents, kext = case
+        rng = np.random.default_rng(sum(extents) + 1)
+        out_extents = tuple(e - k + 1 for e, k in zip(extents, kext))
+        y = rng.normal(size=(P, K) + out_extents)
+        kernels = rng.normal(size=(K, C) + kext)
+        g = rng.normal(size=(P, C) + extents)
+        out, dy, dk = _adjoints(conv3d_transpose, y, kernels, np.zeros(C), g)
+        assert_close_to_reference(out, full_convolve_reference(y, kernels))
+        assert_close_to_reference(dy, correlate_reference(g, kernels))
+        assert_close_to_reference(dk, kernel_adjoint_reference(g, y, kernels.shape))
 
 
 class TestConv3d:
@@ -62,6 +136,16 @@ class TestConv3d:
         batched = conv3d(x, kernels, bias).data
         for p in range(6):
             np.testing.assert_allclose(batched[p], conv3d(x[p], kernels, bias).data)
+
+    def test_empty_batch(self):
+        x = Tensor(np.zeros((0, 2, 5, 5, 6)), requires_grad=True)
+        k = Tensor(np.ones((3, 2, 3, 3, 4)), requires_grad=True)
+        tape = Tape()
+        y = conv3d(x, k, np.zeros(3), tape)
+        out = conv3d_transpose(y, k, np.zeros(2), tape)
+        assert y.data.shape == (0, 3, 3, 3, 3) and out.data.shape == x.data.shape
+        tape.backward(sum_all(out, tape))
+        np.testing.assert_array_equal(k.grad, np.zeros(k.data.shape))
 
     def test_kernel_larger_than_input(self):
         with pytest.raises(ShapeError):
@@ -186,6 +270,18 @@ class TestTapeSemantics:
         total = sum_all(add(y, y, tape), tape)
         tape.backward(total)
         np.testing.assert_allclose(x.grad, 4.0 * x.data)
+
+    def test_backward_releases_interior_adjoints(self):
+        x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        w = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+        tape = Tape()
+        h = mul(x, w, tape)
+        y = mul(h, h, tape)
+        loss = sum_all(y, tape)
+        tape.backward(loss)
+        assert h.grad is None and y.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, 2.0 * x.data * w.data ** 2)
+        np.testing.assert_allclose(w.grad, 2.0 * w.data * x.data ** 2)
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)

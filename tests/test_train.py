@@ -261,10 +261,11 @@ class TestStage2:
 
 
 class TestEmbedAll:
-    def test_chunking_matches_single_pass(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunking_matches_single_pass(self, monkeypatch, chunk):
         _, _, params, batch = desk_setup()
         whole = embed_all(params, batch.patches)
-        monkeypatch.setattr(train, "INFERENCE_CHUNK", 7)
+        monkeypatch.setattr(train, "INFERENCE_CHUNK", chunk)
         chunked = embed_all(params, batch.patches)
         np.testing.assert_array_equal(whole, chunked)
 
