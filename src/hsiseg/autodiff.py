@@ -18,13 +18,15 @@ Inside the convolution cores the layout is channels last, one row per
 (pixel, band): row ``((p*h' + y)*w' + x)*d + z`` holds the kh*kw*C values
 of the spatial window at valid position (y, x) and input band z.  Spectral
 tap l of a correlation then reads the rows shifted by l, so all kd taps are
-one GEMM over each row's kd-row window, taken a chunk of rows at a time.
-The last kd - 1 rows of each band run have windows that cross into the next
-run; they are invalid, dropped from every output, and carry zero adjoint,
-which makes the two adjoints the same tap GEMMs.  Every row is one GEMM row
-over its own window, so inference gives a pixel the same bits whatever
-batch or stripe it comes in (as long as BLAS runs the chunks through one
-kernel, which holds for chunks of similar size).
+one GEMM per chunk of rows.  That GEMM copies kd-row windows of whichever
+side is narrower, chosen by operand shape alone: the input rows when they
+are no wider than the output, else the output, whose kd shifted column
+blocks are then summed.  The last kd - 1 rows of each band run have windows
+that cross into the next run; they are invalid, dropped from every output,
+and carry zero adjoint, which makes the two adjoints the same tap GEMMs.
+Every output row is computed from its own rows alone, so inference gives a
+pixel the same bits whatever batch or stripe it comes in; :func:`_gemm`
+keeps every such product on one BLAS kernel.
 """
 
 from __future__ import annotations
@@ -151,33 +153,51 @@ def _band_runs(g5: np.ndarray, kd: int, lead: int = 0) -> np.ndarray:
     return runs
 
 
+def _chunk_bounds(n: int, width: int) -> list[int]:
+    """Bounds that split n rows of ``width`` values evenly into chunks of about WORKSPACE values.
+
+    BLAS picks its kernel by operand size, and a short last chunk could
+    round differently from the rest.
+    """
+    if n < 1:
+        return []
+    chunks = -(-n // max(1, WORKSPACE // width))
+    return [n * c // chunks for c in range(chunks + 1)]
+
+
 def _tap_windows(rows: np.ndarray, kd: int):
     """Yield ``(start, windows)``: row r of ``windows`` is ``rows[start+r : start+r+kd]``.
 
     Each chunk is copied contiguously as (rows, kd*q) with the tap axis
-    outer, at most WORKSPACE values at a time.  The chunks split the windows
-    evenly: BLAS picks its kernel by operand size, and a short last chunk
-    could round differently from the rest.
+    outer, split evenly by :func:`_chunk_bounds`.
     """
     q = rows.shape[1]
-    n = len(rows) - kd + 1
-    if n < 1:  # an empty batch
+    bounds = _chunk_bounds(len(rows) - kd + 1, kd * q)
+    if not bounds:  # an empty batch
         return
     win = sliding_window_view(rows, kd, axis=0).transpose(0, 2, 1)       # (n, kd, q)
-    chunks = -(-n // max(1, WORKSPACE // (kd * q)))
-    bounds = [n * c // chunks for c in range(chunks + 1)]
     for a, b in zip(bounds, bounds[1:]):
         yield a, np.ascontiguousarray(win[a:b]).reshape(b - a, kd * q)
 
 
-def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``a @ b`` into ``out`` by GEMM, also when ``a`` is a single row.
+SMALL_GEMM = 10 ** 6  # OpenBLAS 0.3 on x86-64: largest M*N*K it sends to its small-matrix kernels
 
-    numpy hands a one-row product to GEMV, whose sums round differently, so
-    a row's result would depend on whether it came alone or in a batch.
+
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``a @ b`` into ``out`` through BLAS's blocked GEMM kernel, whatever the size.
+
+    OpenBLAS computes a product of M*N*K <= SMALL_GEMM with small-matrix
+    kernels, and numpy a one-row product with GEMV; both round differently
+    from the blocked GEMM, so a row's result would depend on how many rows
+    came with it.  A smaller product gets zero rows appended to ``a`` until
+    it has two rows and exceeds SMALL_GEMM.  The constant is specific to
+    that BLAS; another BLAS may switch kernels elsewhere.
     """
-    if len(a) == 1:
-        out[:] = (np.concatenate([a, np.zeros_like(a)]) @ b)[:1]
+    need = max(2, SMALL_GEMM // max(1, b.size) + 1)
+    if 0 < len(a) < need:
+        padded = np.zeros((need, a.shape[1]))
+        padded[:len(a)] = a
+        out[:] = (padded @ b)[:len(a)]
         return out
     return np.matmul(a, b, out=out)
 
@@ -185,16 +205,31 @@ def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _tap_gemm(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """``out[r] = sum_l rows[r+l] @ taps[l]`` for (m, q) rows and (kd, q, K) taps.
 
-    The last kd - 1 rows of ``out`` have no full window and are zero.  Each
-    row is one GEMM row over its own window, so it does not depend on where
-    a chunk starts.
+    The narrower side is windowed.  With q <= K each row's kd-row input
+    window is copied and multiplied by the taps stacked as (kd*q, K).  With
+    q > K each chunk of rows, plus the kd - 1 rows after it, is multiplied
+    once by the taps side by side as (q, kd*K), and the kd shifted (rows, K)
+    column blocks are added in tap order.  The last kd - 1 rows of ``out``
+    have no full window and are zero.  Either way a row's result does not
+    depend on where a chunk starts.
     """
     kd, q, K = taps.shape
-    flat = taps.reshape(kd * q, K)
+    n = len(rows) - kd + 1
     out = np.empty((len(rows), K))
-    out[len(rows) - kd + 1:] = 0.0
-    for a, windows in _tap_windows(rows, kd):
-        _gemm(windows, flat, out[a:a + len(windows)])
+    out[n:] = 0.0
+    if q <= K:
+        flat = taps.reshape(kd * q, K)
+        for a, windows in _tap_windows(rows, kd):
+            _gemm(windows, flat, out[a:a + len(windows)])
+        return out
+    wide = taps.transpose(1, 0, 2).reshape(q, kd * K)
+    bounds = _chunk_bounds(n, kd * K)
+    for a, b in zip(bounds, bounds[1:]):
+        cols = _gemm(rows[a:b + kd - 1], wide, np.empty((b - a + kd - 1, kd * K)))
+        block = out[a:b]
+        block[:] = cols[:b - a, :K]
+        for l in range(1, kd):
+            block += cols[l:l + b - a, l * K:(l + 1) * K]
     return out
 
 
@@ -236,15 +271,25 @@ def _kernel_adjoint(x5: np.ndarray, g5: np.ndarray, kshape: tuple[int, ...]) -> 
     """d(loss)/d(kernels) for _correlate, reduced over batch and positions.
 
     Tap l is ``rows[l:l+n].T @ g`` with g zero on the invalid rows, summed
-    chunk by chunk over the tap windows.
+    chunk by chunk, and the narrower side is windowed.  With kh*kw*C <= K
+    that is the kd-row windows of the spatial rows against g.  Otherwise it
+    is the spatial rows against the kd-row windows of the adjoint runs led
+    by kd - 1 zeros, whose tap blocks come out in reverse order.
     """
     C = x5.shape[1]
     K, _, kh, kw, kd = kshape
-    g = _band_runs(g5, kd)
-    dk = np.zeros((kd * kh * kw * C, K))
-    for a, windows in _tap_windows(_spatial_rows(x5, kh, kw), kd):
-        dk += windows.T @ g[a:a + len(windows)]
-    return dk.reshape(kd, kh, kw, C, K).transpose(4, 3, 1, 2, 0)
+    q = kh * kw * C
+    rows = _spatial_rows(x5, kh, kw)
+    if q <= K:
+        g = _band_runs(g5, kd)
+        dk = np.zeros((kd * q, K))
+        for a, windows in _tap_windows(rows, kd):
+            dk += windows.T @ g[a:a + len(windows)]
+        return dk.reshape(kd, kh, kw, C, K).transpose(4, 3, 1, 2, 0)
+    dk = np.zeros((q, kd * K))
+    for a, windows in _tap_windows(_band_runs(g5, kd, lead=kd - 1), kd):
+        dk += rows[a:a + len(windows)].T @ windows
+    return dk.reshape(kh, kw, C, kd, K)[:, :, :, ::-1].transpose(4, 2, 0, 1, 3)
 
 
 def _conv_operands(x: Tensor, kernels: Tensor) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from hsiseg import autodiff
 from hsiseg.autodiff import (Tape, Tensor, add, conv3d, conv3d_transpose,
                              dense, dropout, grad_check, kl_divergence, mul,
                              pairwise_sqdist, reshape, scale, student_t_rows,
@@ -54,11 +55,16 @@ def assert_close_to_reference(actual, expected):
 
 
 # (P, C, K, volume extents, kernel extents): C = 1 with odd extents; P = 1 with
-# a single output band (kd = d) and kh = h; a batch with every extent distinct
+# a single output band (kd = d) and kh = h; a batch with every extent distinct.
+# The cores window the narrower of kh*kw*C and K, so the last three cases put
+# K above, at and (with C = 1) above kh*kw*C; the first three put it below.
 REFERENCE_CASES = [
     (2, 1, 3, (5, 7, 9), (3, 3, 4)),
     (1, 3, 2, (3, 5, 4), (3, 2, 4)),
     (3, 2, 4, (5, 3, 7), (2, 3, 3)),
+    (2, 2, 12, (4, 5, 6), (2, 2, 3)),
+    (1, 2, 8, (4, 4, 5), (2, 2, 2)),
+    (2, 1, 12, (5, 4, 7), (3, 3, 3)),
 ]
 
 
@@ -97,6 +103,28 @@ class TestConvAgainstReference:
         assert_close_to_reference(out, full_convolve_reference(y, kernels))
         assert_close_to_reference(dy, correlate_reference(g, kernels))
         assert_close_to_reference(dk, kernel_adjoint_reference(g, y, kernels.shape))
+
+
+class TestChunking:
+    """A row's result does not depend on how the cores split their rows."""
+
+    # (C, K): kh*kw*C = 36 > K windows the output side of the forward tap
+    # GEMM and the input side of the transposed one; kh*kw*C = 9 < K the reverse
+    @pytest.mark.parametrize("channels", [(4, 3), (1, 12)])
+    def test_outputs_independent_of_workspace(self, monkeypatch, channels):
+        C, K = channels
+        rng = np.random.default_rng(C + K)
+        x = rng.normal(size=(3, C, 5, 4, 9))
+        y = rng.normal(size=(3, K, 3, 2, 7))
+        kernels = rng.normal(size=(K, C, 3, 3, 3))
+        outputs = []
+        for workspace in (1 << 8, 1 << 10, 1 << 17, 1 << 20):
+            monkeypatch.setattr(autodiff, "WORKSPACE", workspace)
+            outputs.append((conv3d(x, kernels, np.zeros(K)).data,
+                            conv3d_transpose(y, kernels, np.zeros(C)).data))
+        for forward, transposed in outputs[1:]:
+            np.testing.assert_array_equal(forward, outputs[0][0])
+            np.testing.assert_array_equal(transposed, outputs[0][1])
 
 
 class TestConv3d:

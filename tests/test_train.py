@@ -269,6 +269,19 @@ class TestEmbedAll:
         chunked = embed_all(params, batch.patches)
         np.testing.assert_array_equal(whole, chunked)
 
+    def test_chunking_matches_at_paper_shape(self, monkeypatch):
+        """103 bands and 32 kernels: the dense GEMM of a short chunk is small
+        enough for OpenBLAS to round it in another kernel unless it is padded."""
+        config = cae.CaeConfig(bands=103)
+        params = cae.build_cae(config, np.random.default_rng(1))
+        patches = np.random.default_rng(2).random((72, 5, 5, 103))
+        latents = {}
+        for chunk in (1, 7, 64, 256):
+            monkeypatch.setattr(train, "INFERENCE_CHUNK", chunk)
+            latents[chunk] = embed_all(params, patches)
+        for chunk in (1, 7, 64):
+            np.testing.assert_array_equal(latents[chunk], latents[256])
+
 
 class TestSegment:
     def _trained(self):
