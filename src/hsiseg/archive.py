@@ -65,6 +65,6 @@ def load_archive(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise FormatError(f"{path}: meta.json must hold a JSON object and "
                                   "manifest.json a list")
             arrays = dict(_payload_array(path, zf, entry) for entry in manifest)
-    except (zipfile.BadZipFile, KeyError, json.JSONDecodeError) as exc:
+    except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path} is not a readable model archive: {exc}") from exc
     return meta, arrays

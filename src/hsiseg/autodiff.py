@@ -24,9 +24,10 @@ are no wider than the output, else the output, whose kd shifted column
 blocks are then summed.  The last kd - 1 rows of each band run have windows
 that cross into the next run; they are invalid, dropped from every output,
 and carry zero adjoint, which makes the two adjoints the same tap GEMMs.
-Every output row is computed from its own rows alone, so inference gives a
-pixel the same bits whatever batch or stripe it comes in; :func:`_gemm`
-keeps every such product on one BLAS kernel.
+Inference does not run these cores over patches: it maps them through one
+``dense``, the encoder folded by :func:`hsiseg.cae.encoder_map`.
+:func:`_gemm` keeps every product on one BLAS kernel, so a row of a
+``dense`` output has the same bits however many rows come with it.
 """
 
 from __future__ import annotations
@@ -187,13 +188,15 @@ def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``a @ b`` into ``out`` through BLAS's blocked GEMM kernel, whatever the size.
 
     OpenBLAS computes a product of M*N*K <= SMALL_GEMM with small-matrix
-    kernels, and numpy a one-row product with GEMV; both round differently
-    from the blocked GEMM, so a row's result would depend on how many rows
-    came with it.  A smaller product gets zero rows appended to ``a`` until
-    it has two rows and exceeds SMALL_GEMM.  The constant is specific to
-    that BLAS; another BLAS may switch kernels elsewhere.
+    kernels, with more than one thread it also rounds a product of at most
+    16 rows differently, and numpy computes a one-row product with GEMV.
+    All of these round differently from the blocked GEMM, so a row's result
+    would depend on how many rows came with it.  A smaller product gets
+    zero rows appended to ``a`` until it has 17 rows and exceeds
+    SMALL_GEMM.  Both limits are specific to that BLAS; another BLAS may
+    switch kernels elsewhere.
     """
-    need = max(2, SMALL_GEMM // max(1, b.size) + 1)
+    need = max(17, SMALL_GEMM // max(1, b.size) + 1)
     if 0 < len(a) < need:
         padded = np.zeros((need, a.shape[1]))
         padded[:len(a)] = a

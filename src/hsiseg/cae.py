@@ -8,6 +8,12 @@ one trainable center per cluster and converts embeddings into soft
 assignments through a Student's-t kernel; its target distribution sharpens
 confident assignments while normalizing by cluster frequency.
 
+The encoder has no nonlinearity, and dropout is an identity at inference,
+so an inference-mode latent is an affine function of the flattened patch:
+:func:`encoder_map` folds the encoder into that one dense map, through which
+:func:`~hsiseg.train.embed_all` and :func:`~hsiseg.train.segment` compute
+every latent.
+
 Checkpoints are a single zip archive: ``meta.json`` (format, version and
 architecture config), ``manifest.json`` listing (name, shape, dtype, file)
 for each tensor, and one raw little-endian float64 payload per tensor.
@@ -183,29 +189,23 @@ def encode_batch(params: CaeParams, patches, rng: np.random.Generator | None = N
     return ad.dense(flat, w["enc_dense_w"], w["enc_dense_b"], tape)
 
 
-def encode_scene(params: CaeParams, padded) -> np.ndarray:
-    """Inference-mode latents of every pixel of a reflect-padded scene block.
+def encoder_map(params: CaeParams) -> tuple[np.ndarray, np.ndarray]:
+    """The inference-mode encoder as one affine map of a flattened patch.
 
-    ``padded`` is an (h + s - 1, w + s - 1, bands) block with s the patch
-    size: :func:`~hsiseg.cube.reflect_pad` of a scene, or a row stripe of it
-    with its (s - 1)-row halo.  Each pixel's patch is a window of the block,
-    so the two valid convolutions run once over the block give every
-    pixel's central feature column without recomputing the overlap of
-    neighbouring patches.  Returns the (h*w, n) latents in row-major pixel
-    order, equal to :func:`encode_batch` on the pixels' patches without
-    ``rng``.
+    Returns (n, s*s*bands) ``weights`` and (n,) ``bias`` such that
+    ``dense(patches.reshape(count, -1), weights, bias)`` gives the latents
+    of :func:`encode_batch` without ``rng``.  Row j of ``weights`` is dense
+    row j run back through the two convolutions' adjoints with zero biases;
+    ``bias`` is the latent of a zero patch.
     """
     cfg = params.config
-    x = np.asarray(padded, dtype=np.float64)
-    s = cfg.patch_spatial
-    if x.ndim != 3 or x.shape[2] != cfg.bands or min(x.shape[:2]) < s:
-        raise ShapeError(f"padded block {x.shape} is not (>= {s}, >= {s}, {cfg.bands})")
     w = params.weights
-    h = ad.conv3d(x[None, None], w["enc_conv1_w"], w["enc_conv1_b"])
-    h = ad.conv3d(h, w["enc_conv2_w"], w["enc_conv2_b"]).data
-    # (1, K, h, w, d2) -> (h*w, K*d2), the per-pixel flatten order of encode_batch
-    flat = h[0].transpose(1, 2, 0, 3).reshape(-1, cfg.flat_dim)
-    return ad.dense(flat, w["enc_dense_w"], w["enc_dense_b"]).data
+    k, s = cfg.kernels_per_layer, cfg.patch_spatial
+    g = w["enc_dense_w"].data.reshape(cfg.embedding_dim, k, 1, 1, cfg.conv2_depth)
+    g = ad.conv3d_transpose(g, w["enc_conv2_w"], np.zeros(k)).data
+    g = ad.conv3d_transpose(g, w["enc_conv1_w"], np.zeros(1)).data
+    bias = encode_batch(params, np.zeros((1, s, s, cfg.bands))).data[0]
+    return g.reshape(cfg.embedding_dim, -1), bias
 
 
 def decode_batch(params: CaeParams, latents, tape: Tape | None = None) -> Tensor:

@@ -120,7 +120,7 @@ class SegmentationMap:
 def _read_header(path: Path) -> dict:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read header {path}: {exc}") from exc
     try:
         header = json.loads(text)
@@ -276,14 +276,13 @@ def normalize(cube: HsiCube) -> HsiCube:
     return HsiCube(values=scaled, labels=cube.labels, wavelengths=cube.wavelengths)
 
 
-def reflect_pad(cube: HsiCube, spatial: int) -> np.ndarray:
-    """The cube's values with a mirrored border wide enough for every patch.
+def patch_windows(cube: HsiCube, spatial: int) -> np.ndarray:
+    """Zero-copy view of every pixel's patch, indexed as (y, x) -> patch.
 
-    Returns a (height + spatial - 1, width + spatial - 1, bands) array in
-    which the patch centered on pixel (y, x) is the spatial x spatial window
-    whose top-left corner is (y, x).  'reflect' mirrors about the edge pixel
-    without repeating it, so offsets (-2,-1,0,1,2) at a corner read rows
-    (2,1,0,1,2).
+    Returns an array view of shape (height, width, spatial, spatial, bands)
+    over the cube mirror-padded once; selecting rows materializes only those
+    patches.  'reflect' mirrors about the edge pixel without repeating it,
+    so offsets (-2,-1,0,1,2) at a corner read rows (2,1,0,1,2).
     """
     if spatial % 2 == 0:
         raise ParameterError(f"patch size must be odd, got {spatial}")
@@ -291,16 +290,8 @@ def reflect_pad(cube: HsiCube, spatial: int) -> np.ndarray:
         raise ParameterError(
             f"patch size {spatial} exceeds scene extent {min(cube.width, cube.height)}")
     margin = (spatial - 1) // 2
-    return np.pad(cube.values, ((margin, margin), (margin, margin), (0, 0)), mode="reflect")
-
-
-def patch_windows(cube: HsiCube, spatial: int) -> np.ndarray:
-    """Zero-copy view of every pixel's patch, indexed as (y, x) -> patch.
-
-    Returns an array view of shape (height, width, spatial, spatial, bands);
-    selecting rows materializes only those patches.
-    """
-    win = sliding_window_view(reflect_pad(cube, spatial), (spatial, spatial), axis=(0, 1))
+    padded = np.pad(cube.values, ((margin, margin), (margin, margin), (0, 0)), mode="reflect")
+    win = sliding_window_view(padded, (spatial, spatial), axis=(0, 1))
     # sliding_window_view appends window axes: (H, W, bands, s, s)
     return np.moveaxis(win, 2, -1)
 

@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import cae
 from .autodiff import Tape, Tensor
-from .cube import HsiCube, SegmentationMap, extract_patches, reflect_pad
+from .cube import HsiCube, SegmentationMap, extract_patches, patch_windows
 from .errors import NumericalError, ParameterError, ShapeError
 
-INFERENCE_CHUNK = 256  # pixels per inference forward pass (embed_all, segment)
+INFERENCE_CHUNK = 256  # pixels per segment stripe: bounds segment's gathered patches
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
 
 
@@ -121,12 +122,12 @@ def _as_patch_array(patches) -> np.ndarray:
 def embed_all(params: cae.CaeParams, patches: np.ndarray) -> np.ndarray:
     """Inference-mode embeddings of a (count, s, s, bands) patch array.
 
-    The patches go through :func:`cae.encode_batch` ``INFERENCE_CHUNK`` at a
-    time; the rows of the result are the same for any chunk size.
+    One dense map, :func:`cae.encoder_map`, of the flattened patches.
     """
-    outputs = [cae.encode_batch(params, patches[i:i + INFERENCE_CHUNK]).data
-               for i in range(0, len(patches), INFERENCE_CHUNK)]
-    return np.concatenate(outputs, axis=0)
+    patches = np.asarray(patches, dtype=np.float64)
+    cae._check_patch_shape(params.config, patches)
+    weights, bias = cae.encoder_map(params)
+    return ad.dense(patches.reshape(len(patches), -1), weights, bias).data
 
 
 def _epoch(params: cae.CaeParams, patches: np.ndarray, cfg: TrainConfig,
@@ -254,24 +255,24 @@ def segment(params: cae.CaeParams, cube: HsiCube) -> SegmentationMap:
     """Label every pixel with its most likely cluster (1-based).
 
     All pixels get a label, background included.  Pure function of
-    (params, cube).  The cube is reflect-padded once, as for
-    :func:`~hsiseg.cube.extract_patches`, and encoded by
-    :func:`cae.encode_scene` in row stripes of about ``INFERENCE_CHUNK``
-    pixels (at least one row), each read with its halo of patch_spatial - 1
-    rows; memory is bounded by one stripe.  The latents equal
-    :func:`embed_all` on the pixels' patches bit for bit.
+    (params, cube).  The encoder is folded once by :func:`cae.encoder_map`;
+    the patches, mirror-reflected at the borders as for
+    :func:`~hsiseg.cube.extract_patches`, are then gathered and mapped in row
+    stripes of about ``INFERENCE_CHUNK`` pixels (at least one row), so
+    memory is bounded by one stripe.  The latents equal :func:`embed_all` on
+    the pixels' patches bit for bit.
     """
     centers = params.require_centers()
     if cube.bands != params.config.bands:
         raise ShapeError(f"cube has {cube.bands} bands, model expects "
                          f"{params.config.bands}")
-    padded = reflect_pad(cube, params.config.patch_spatial)
-    halo = params.config.patch_spatial - 1
+    windows = patch_windows(cube, params.config.patch_spatial)
+    weights, bias = cae.encoder_map(params)
     rows = max(1, INFERENCE_CHUNK // cube.width)
     labels = np.empty((cube.height, cube.width), dtype=np.int64)
     for top in range(0, cube.height, rows):
-        bottom = min(top + rows, cube.height)
-        latents = cae.encode_scene(params, padded[top:bottom + halo])
+        stripe = windows[top:top + rows]
+        latents = ad.dense(stripe.reshape(-1, weights.shape[1]), weights, bias).data
         q = cae.soft_assign(latents, centers.data).data
-        labels[top:bottom] = q.argmax(axis=1).reshape(bottom - top, cube.width) + 1
+        labels[top:top + rows] = q.argmax(axis=1).reshape(stripe.shape[:2]) + 1
     return SegmentationMap(labels=labels)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hsiseg.archive import load_archive, save_archive
 from hsiseg.autodiff import Tape, Tensor, grad_check
 from hsiseg.cae import (CaeConfig, build_cae, clustering_loss, decode_batch,
-                        encode_batch, encode_scene, init_centers, load_checkpoint,
+                        encode_batch, encoder_map, init_centers, load_checkpoint,
                         reconstruction_loss, save_checkpoint, soft_assign,
                         target_distribution, total_loss)
 from hsiseg.errors import (ConfigError, DegenerateDataError, FormatError,
@@ -140,12 +140,24 @@ class TestEncodeDecode:
         with pytest.raises(ShapeError):
             decode_batch(params, np.zeros(6))  # an unbatched latent
 
-    def test_scene_block_shape_checked(self):
-        params = build_cae(desk_config(), np.random.default_rng(14))
-        assert encode_scene(params, np.zeros((5, 7, 8))).shape == (3, 6)
-        for block in (np.zeros((5, 5, 9)), np.zeros((4, 7, 8)), np.zeros((5, 5))):
-            with pytest.raises(ShapeError):
-                encode_scene(params, block)
+    @pytest.mark.parametrize("config", [desk_config(), CaeConfig(bands=103)],
+                             ids=["desk", "paper"])
+    def test_encoder_map_matches_conv_path(self, config):
+        """The encoder is affine at inference: its folded dense map gives the
+        latents of the convolutions in inference mode.  A nonlinear layer, or
+        a dropout that is not an identity without rng, breaks this."""
+        params = build_cae(config, np.random.default_rng(17))
+        for name, t in params.weight_items():
+            if name.endswith("_b"):  # exercise the bias fold too
+                t.data[:] = np.random.default_rng(18).normal(size=t.data.shape)
+        patches = np.random.default_rng(19).random((40, 5, 5, config.bands))
+        weights, bias = encoder_map(params)
+        s = config.patch_spatial
+        assert weights.shape == (config.embedding_dim, s * s * config.bands)
+        assert bias.shape == (config.embedding_dim,)
+        folded = patches.reshape(40, -1) @ weights.T + bias
+        conv = encode_batch(params, patches).data
+        assert np.abs(folded - conv).max() <= 1e-12 * np.abs(conv).max()
 
     def test_roundtrip_gradient(self):
         """decode(encode(x)) loss passes the finite-difference check."""

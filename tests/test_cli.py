@@ -206,11 +206,12 @@ class TestTrainSegment:
                    "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "bad.gt") == 2
 
     @pytest.mark.parametrize("entry, content", [("manifest.json", b'["x"]'),
-                                                ("meta.json", b"[1, 2]")])
+                                                ("meta.json", b"[1, 2]"),
+                                                ("meta.json", b"\x80abc")])
     def test_malformed_checkpoint_metadata_is_format_error(self, scene_dir, tmp_path,
                                                            entry, content):
         """A manifest that is not a list of objects, or a meta.json that is not
-        an object, is an I/O/format error (exit 2), not a traceback."""
+        an object or not UTF-8, is an I/O/format error (exit 2), not a traceback."""
         params = build_cae(CaeConfig(bands=8, clusters=3, kernels_per_layer=4,
                                      kernel_depth=3, embedding_dim=6),
                            np.random.default_rng(0))
@@ -262,6 +263,20 @@ class TestTrainSegment:
             assert "px_per_s" not in out.read_text()
             maps.append(out.read_bytes() + (out.parent / "map.gt.raw").read_bytes())
         assert maps[0] == maps[1]
+
+    def test_non_utf8_cube_header_is_format_error(self, scene_dir, tmp_path):
+        save_segmenter(tmp_path / "model.zip")
+        header = scene_dir / "cube.hsic"
+        header.write_bytes(b"\x80" + header.read_bytes())
+        assert run("segment", "--checkpoint", tmp_path / "model.zip",
+                   "--cube", header, "--out", tmp_path / "map.gt") == 2
+
+    def test_non_utf8_config_is_contract_error(self, scene_dir, tmp_path):
+        """An unreadable config is a contract error like any invalid config JSON."""
+        config = write_config(tmp_path)
+        config.write_bytes(b"\x80" + config.read_bytes())
+        assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
+                   "--out-dir", tmp_path / "out") == 1
 
     def test_checkpoint_band_mismatch(self, scene_dir, tmp_path):
         config = write_config(tmp_path)
@@ -437,6 +452,13 @@ class TestEvaluate:
         write_labels(np.zeros((2, 2), dtype=int), tmp_path / "truth.gt")
         assert run("evaluate", "--map", tmp_path / "map.gt",
                    "--truth", tmp_path / "truth.gt") == 1
+
+    def test_non_utf8_header_is_format_error(self, tmp_path):
+        write_labels(np.ones((2, 2), dtype=int), tmp_path / "map.gt")
+        write_labels(np.ones((2, 2), dtype=int), tmp_path / "truth.gt")
+        header = tmp_path / "truth.gt"
+        header.write_bytes(b"\x80" + header.read_bytes())
+        assert run("evaluate", "--map", tmp_path / "map.gt", "--truth", header) == 2
 
     def test_dimension_mismatch(self, tmp_path):
         write_labels(np.ones((2, 2), dtype=int), tmp_path / "map.gt")

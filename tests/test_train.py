@@ -8,7 +8,7 @@ import pytest
 from hsiseg import cae, train
 from hsiseg.autodiff import Tensor
 from hsiseg.clustering import kmeans
-from hsiseg.cube import HsiCube, extract_patches, reflect_pad
+from hsiseg.cube import HsiCube, extract_patches
 from hsiseg.errors import NumericalError, ParameterError, ShapeError, StateError
 from hsiseg.metrics import contingency, nmi
 from hsiseg.synth import generate_cube
@@ -261,26 +261,25 @@ class TestStage2:
 
 
 class TestEmbedAll:
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_chunking_matches_single_pass(self, monkeypatch, chunk):
-        _, _, params, batch = desk_setup()
-        whole = embed_all(params, batch.patches)
-        monkeypatch.setattr(train, "INFERENCE_CHUNK", chunk)
-        chunked = embed_all(params, batch.patches)
-        np.testing.assert_array_equal(whole, chunked)
+    def test_patch_shape_checked(self):
+        _, _, params, _ = desk_setup()
+        assert embed_all(params, np.zeros((3, 5, 5, 8))).shape == (3, 6)
+        for patches in (np.zeros((1, 5, 5, 9)), np.zeros((1, 4, 5, 8)), np.zeros((5, 5, 8))):
+            with pytest.raises(ShapeError):
+                embed_all(params, patches)
 
-    def test_chunking_matches_at_paper_shape(self, monkeypatch):
-        """103 bands and 32 kernels: the dense GEMM of a short chunk is small
-        enough for OpenBLAS to round it in another kernel unless it is padded."""
-        config = cae.CaeConfig(bands=103)
-        params = cae.build_cae(config, np.random.default_rng(1))
-        patches = np.random.default_rng(2).random((72, 5, 5, 103))
-        latents = {}
-        for chunk in (1, 7, 64, 256):
-            monkeypatch.setattr(train, "INFERENCE_CHUNK", chunk)
-            latents[chunk] = embed_all(params, patches)
-        for chunk in (1, 7, 64):
-            np.testing.assert_array_equal(latents[chunk], latents[256])
+
+def record_stripes(monkeypatch):
+    """The latents of each stripe ``segment`` maps, in order."""
+    stripes = []
+    soft_assign = cae.soft_assign
+
+    def recording(latents, centers):
+        stripes.append(latents)
+        return soft_assign(latents, centers)
+
+    monkeypatch.setattr(cae, "soft_assign", recording)
+    return stripes
 
 
 class TestSegment:
@@ -337,19 +336,24 @@ class TestSegment:
             segment(params, HsiCube(values=rng.random((height, width, 8))))
 
     @staticmethod
-    def _odd_scene():
-        """A 13-wide, 11-high scene, random weights and centers, and the
-        patchwise latents of every pixel."""
-        cube = normalize(generate_cube(13, 11, 8, 3, seed=2, noise=0.03))
-        params = cae.build_cae(cae.CaeConfig(**DESK), np.random.default_rng(1))
-        params.centers = Tensor(np.random.default_rng(2).random((3, 6)))
+    def _odd_scene(config=cae.CaeConfig(**DESK), width=13, height=11):
+        """A scene (13 wide and 11 high by default), random weights and
+        centers, and the patchwise latents of every pixel."""
+        cube = normalize(generate_cube(width, height, config.bands, 3, seed=2, noise=0.03))
+        params = cae.build_cae(config, np.random.default_rng(1))
+        params.centers = Tensor(np.random.default_rng(2).random((config.clusters,
+                                                                 config.embedding_dim)))
         unlabeled = HsiCube(values=cube.values)
         return cube, params, embed_all(params, extract_patches(unlabeled).patches)
 
-    def test_scene_encoder_matches_patchwise_latents(self):
+    def test_scene_encoder_matches_patchwise_latents(self, monkeypatch):
+        """A chunk of the whole scene maps it in one stripe."""
         cube, params, expected = self._odd_scene()
-        latents = cae.encode_scene(params, reflect_pad(cube, 5))
-        np.testing.assert_array_equal(latents, expected)
+        monkeypatch.setattr(train, "INFERENCE_CHUNK", 13 * 11)
+        stripes = record_stripes(monkeypatch)
+        segment(params, cube)
+        assert len(stripes) == 1
+        np.testing.assert_array_equal(stripes[0], expected)
 
     # 3-row stripes leave a 2-row last stripe; a chunk below the width
     # gives 1-row stripes
@@ -357,19 +361,23 @@ class TestSegment:
     def test_stripes_match_patchwise_latents(self, monkeypatch, chunk, heights):
         cube, params, expected = self._odd_scene()
         monkeypatch.setattr(train, "INFERENCE_CHUNK", chunk)
-        stripes = []
-        encode_scene = cae.encode_scene
-
-        def recording(params, padded):
-            stripes.append(encode_scene(params, padded))
-            return stripes[-1]
-
-        monkeypatch.setattr(cae, "encode_scene", recording)
+        stripes = record_stripes(monkeypatch)
         labels = segment(params, cube).labels
         assert [len(z) for z in stripes] == [13 * h for h in heights]
         np.testing.assert_array_equal(np.concatenate(stripes), expected)
         q = cae.soft_assign(expected, params.centers.data).data
         np.testing.assert_array_equal(labels.ravel(), q.argmax(axis=1) + 1)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 256])
+    def test_stripes_match_at_paper_shape(self, monkeypatch, chunk):
+        """103 bands and 32 kernels: OpenBLAS would round the folded map's
+        GEMM for a short stripe in another kernel unless it is padded (with
+        two threads, also any product of up to 16 rows)."""
+        cube, params, expected = self._odd_scene(cae.CaeConfig(bands=103), 9, 8)
+        monkeypatch.setattr(train, "INFERENCE_CHUNK", chunk)
+        stripes = record_stripes(monkeypatch)
+        segment(params, cube)
+        np.testing.assert_array_equal(np.concatenate(stripes), expected)
 
     def test_background_pixels_labeled(self):
         cube, params = self._trained()
