@@ -36,7 +36,7 @@ print(f"after normalize: per-band min {scaled.values.min(axis=(0, 1)).max():.1f}
 
 # one patch per pixel, centered, borders mirror-reflected
 batch = extract_patches(scaled, spatial=5)
-print(f"\npatches: {batch.patches.shape} (one per pixel, row-major coords)")
+print(f"\npatches: {batch.patches.shape} (one per pixel, in row-major order)")
 
 # the corner patch reads mirrored rows: offsets (-2,-1,0,1,2) -> rows (2,1,0,1,2)
 corner = batch.patches[0]

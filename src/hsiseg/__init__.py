@@ -22,8 +22,7 @@ from .errors import (ConfigError, DataError, DegenerateDataError, FormatError,
                      HsisegError, InsufficientDataError, NumericalError,
                      ParameterError, ShapeError, SizeMismatchError, StateError)
 from .metrics import (ContingencyTable, PairCounts, adjusted_rand_from_table,
-                      ars, contingency, evaluate_labelings, nmi, pair_counts,
-                      supervised_scores)
+                      ars, contingency, evaluate_labelings, nmi, pair_counts)
 from .reduction import (PcaModel, pca_fit, pca_reduce, pca_transform,
                         smsi_reduce, smsi_windows)
 from .synth import class_signatures, generate_cube, signature_separation

@@ -189,14 +189,15 @@ def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     OpenBLAS computes a product of M*N*K <= SMALL_GEMM with small-matrix
     kernels, with more than one thread it also rounds a product of at most
-    16 rows differently, and numpy computes a one-row product with GEMV.
-    All of these round differently from the blocked GEMM, so a row's result
-    would depend on how many rows came with it.  A smaller product gets
-    zero rows appended to ``a`` until it has 17 rows and exceeds
-    SMALL_GEMM.  Both limits are specific to that BLAS; another BLAS may
-    switch kernels elsewhere.
+    16 rows, or for some widths N of 33 to N rows, differently, and numpy
+    computes a one-row product with GEMV.  All of these round differently
+    from the blocked GEMM, so a row's result would depend on how many rows
+    came with it.  A smaller product gets zero rows appended to ``a`` until
+    it has more than 16 and more than N rows and exceeds SMALL_GEMM.  These
+    limits are specific to that BLAS; another BLAS may switch kernels
+    elsewhere.
     """
-    need = max(17, SMALL_GEMM // max(1, b.size) + 1)
+    need = max(17, b.shape[1] + 1, SMALL_GEMM // max(1, b.size) + 1)
     if 0 < len(a) < need:
         padded = np.zeros((need, a.shape[1]))
         padded[:len(a)] = a

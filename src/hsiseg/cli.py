@@ -29,7 +29,6 @@ from .errors import (DataError, FormatError, HsisegError, NumericalError,
                      ParameterError, ShapeError)
 
 REDUCTIONS = ("none", "pca", "smsi", "external")
-METHODS = ("cae3d", "kmeans", "gmm")
 
 
 # the JSON values a config key of each declared field type accepts
@@ -42,7 +41,7 @@ ARCH_DEFAULTS = {f.name: f.default for f in fields(cae.CaeConfig) if f.name != "
 
 @dataclass
 class RunConfig:
-    """Everything a training or baseline run depends on.
+    """Everything a training run depends on; a baseline run adds its ``--method``.
 
     A config file is one flat JSON object.  :meth:`load` hands each key to
     its owner: the run-level keys stay here, the architecture keys go to
@@ -52,15 +51,12 @@ class RunConfig:
 
     seed: int = 0
     reduction: str = "none"
-    method: str = "cae3d"
     arch: dict = field(default_factory=lambda: dict(ARCH_DEFAULTS))
     schedule: train.TrainConfig = field(default_factory=train.TrainConfig)
 
     def __post_init__(self):
         if self.reduction not in REDUCTIONS:
             raise ParameterError(f"reduction must be one of {REDUCTIONS}")
-        if self.method not in METHODS:
-            raise ParameterError(f"method must be one of {METHODS}")
 
     def to_dict(self) -> dict:
         """The flat key/value form that config files and artifacts use."""
@@ -250,7 +246,7 @@ def cmd_segment(args) -> int:
 def cmd_baseline(args) -> int:
     config = RunConfig.load(args.config, {
         "seed": args.seed, "clusters": args.clusters,
-        "reduction": args.reduction, "method": args.method,
+        "reduction": args.reduction,
     })
     clusters = config.arch["clusters"]
     if clusters < 2:
@@ -265,9 +261,9 @@ def cmd_baseline(args) -> int:
     reduction_sec = time.perf_counter() - t0
 
     points = work.pixel_matrix()
-    flat_config = config.to_dict()
+    flat_config = {**config.to_dict(), "method": args.method}
     t1 = time.perf_counter()
-    if config.method == "kmeans":
+    if args.method == "kmeans":
         model, flat = clustering.kmeans(points, clusters, seed=config.seed)
         meta = {"format": "hsiseg-kmeans", "inertia": model.inertia,
                 "iterations": model.iterations, "config": flat_config}

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InsufficientDataError, NumericalError, ParameterError
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_RIDGE = 1e-6  # strength of the covariance prior, per point (see gmm_em)
 
 
 @dataclass
@@ -112,7 +113,7 @@ def _log_gaussians(points: np.ndarray, means: np.ndarray,
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
-                f"covariance of component {j} is singular despite ridge") from exc
+                f"covariance of component {j} is singular despite its prior") from exc
         diff = points - mu
         z = np.linalg.solve(chol, diff.T)
         maha = (z * z).sum(axis=0)
@@ -121,13 +122,19 @@ def _log_gaussians(points: np.ndarray, means: np.ndarray,
     return out
 
 
-def gmm_em(points, k: int, seed=0, ridge: float = 1e-6, tol: float = 1e-6,
+def gmm_em(points, k: int, seed=0, tol: float = 1e-6,
            max_iter: int = 200) -> tuple[GmmModel, np.ndarray]:
     """Full-covariance Gaussian mixture via EM, initialized from k-means.
 
-    A ridge is added to every covariance diagonal in each M-step to keep the
-    factors positive-definite.  Iteration stops once the log-likelihood
-    improves by less than tol.  Labels are the argmax responsibilities.
+    Every covariance carries the fixed prior exp(-tr(Psi Sigma^-1) / 2) with
+    Psi = _RIDGE * n * I, which keeps the factors positive-definite: the
+    M-step sets Sigma_j = (S_j + Psi) / N_j, with S_j the
+    responsibility-weighted scatter and N_j the component's mass, so each
+    diagonal gains at least _RIDGE.  The trace holds the objective this EM
+    ascends, one value per E-step: the log-likelihood minus
+    _RIDGE * n / 2 * sum_j tr(Sigma_j^-1).  It never decreases beyond
+    rounding.  Iteration stops once it improves by less than tol.  Labels
+    are the argmax responsibilities.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -149,8 +156,9 @@ def gmm_em(points, k: int, seed=0, ridge: float = 1e-6, tol: float = 1e-6,
             covariances[j] = np.cov(member.T, bias=True).reshape(d, d)
         else:
             covariances[j] = global_cov
-        covariances[j][np.diag_indices(d)] += ridge
+        covariances[j][np.diag_indices(d)] += _RIDGE
 
+    prior = _RIDGE * n * np.eye(d)
     trace: list[float] = []
     resp = np.zeros((n, k))
     for _ in range(max_iter):
@@ -160,9 +168,10 @@ def gmm_em(points, k: int, seed=0, ridge: float = 1e-6, tol: float = 1e-6,
         top = log_prob.max(axis=1, keepdims=True)
         norm = top + np.log(np.exp(log_prob - top).sum(axis=1, keepdims=True))
         resp = np.exp(log_prob - norm)
-        ll = float(norm.sum())
-        trace.append(ll)
-        if len(trace) > 1 and ll - trace[-2] < tol:
+        penalty = 0.5 * _RIDGE * n * np.trace(np.linalg.inv(covariances), axis1=1, axis2=2)
+        objective = float(norm.sum() - penalty.sum())
+        trace.append(objective)
+        if len(trace) > 1 and objective - trace[-2] < tol:
             break
         # M-step
         mass = resp.sum(axis=0)
@@ -171,8 +180,7 @@ def gmm_em(points, k: int, seed=0, ridge: float = 1e-6, tol: float = 1e-6,
         means = (resp.T @ points) / mass[:, None]
         for j in range(k):
             diff = points - means[j]
-            covariances[j] = (resp[:, j][:, None] * diff).T @ diff / mass[j]
-            covariances[j][np.diag_indices(d)] += ridge
+            covariances[j] = ((resp[:, j][:, None] * diff).T @ diff + prior) / mass[j]
 
     labels = resp.argmax(axis=1)
     model = GmmModel(weights=weights, means=means, covariances=covariances,

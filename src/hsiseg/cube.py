@@ -69,22 +69,9 @@ class HsiCube:
 
 @dataclass
 class PatchBatch:
-    """Sub-cubes of shape (spatial, spatial, bands), one per selected pixel."""
+    """Sub-cubes of shape (spatial, spatial, bands), one per kept pixel, row-major."""
 
     patches: np.ndarray          # (count, spatial, spatial, bands)
-    coords: np.ndarray           # (count, 2) as (x, y) source-pixel coordinates
-    patch_spatial: int = 5
-
-    def __post_init__(self):
-        if len(self.patches) != len(self.coords):
-            raise ShapeError("one coordinate pair per patch required")
-        if self.patches.ndim != 4 or self.patches.shape[1] != self.patch_spatial \
-                or self.patches.shape[2] != self.patch_spatial:
-            raise ShapeError(f"patches must be (n, {self.patch_spatial}, "
-                             f"{self.patch_spatial}, bands), got {self.patches.shape}")
-
-    def __len__(self) -> int:
-        return len(self.patches)
 
 
 @dataclass
@@ -300,17 +287,13 @@ def extract_patches(cube: HsiCube, spatial: int = 5) -> PatchBatch:
     """One patch per pixel, centered on it, borders mirror-reflected.
 
     Background pixels (label 0) are skipped; a cube without labels gives
-    every pixel.  Coordinates enumerate pixels row-major.
+    every pixel.  Patches follow the kept pixels in row-major order.
     """
     win = patch_windows(cube, spatial)
-    ys, xs = np.mgrid[0:cube.height, 0:cube.width]
-    if cube.labels is not None:
+    if cube.labels is None:
+        keep = np.ones((cube.height, cube.width), dtype=bool)
+    else:
         keep = cube.labels > 0
         if not keep.any():
             raise DegenerateDataError("every pixel is background; nothing to extract")
-        ys, xs = ys[keep], xs[keep]
-    else:
-        ys, xs = ys.ravel(), xs.ravel()
-    patches = np.ascontiguousarray(win[ys, xs])
-    coords = np.stack([xs, ys], axis=1)
-    return PatchBatch(patches=patches, coords=coords, patch_spatial=spatial)
+    return PatchBatch(patches=win[keep])

@@ -7,7 +7,8 @@ Hubert-Arabie contingency-table formula, so each route can validate the
 other.  Pair counts are derived from the table in O(clusters^2) via sums of
 "count choose 2" terms, never by enumerating point pairs, and all pair
 arithmetic uses Python integers because the products overflow int64 on
-scene-sized inputs.
+scene-sized inputs.  OA/AA/kappa score the square class-by-class table that
+a majority-vote mapping of clusters to ground-truth classes yields.
 """
 
 from __future__ import annotations
@@ -159,33 +160,19 @@ def adjusted_rand_from_table(table: ContingencyTable) -> float:
     return (sum_ij - expected) / (maximum - expected)
 
 
-def _aligned_square(table: ContingencyTable) -> tuple[np.ndarray, np.ndarray]:
-    """Re-index the table over the union vocabulary so the diagonal means agreement."""
-    vocab = np.union1d(table.row_labels, table.col_labels)
-    square = np.zeros((vocab.size, vocab.size), dtype=np.int64)
-    ri = np.searchsorted(vocab, table.row_labels)
-    ci = np.searchsorted(vocab, table.col_labels)
-    square[np.ix_(ri, ci)] = table.counts
-    return square, vocab
-
-
-def supervised_scores(table: ContingencyTable) -> tuple[float, float, float]:
+def _supervised_scores(square: np.ndarray) -> tuple[float, float, float]:
     """Overall accuracy, average accuracy, and Cohen's kappa.
 
-    Rows are predictions, columns ground truth, over a shared class
-    vocabulary.  OA is the diagonal mass, AA the mean per-class recall, and
+    ``square`` counts predictions (rows) against the ground-truth classes
+    (columns, none empty) over the truth's vocabulary, so the diagonal is
+    agreement.  OA is the diagonal mass, AA the mean per-class recall, and
     kappa = 1 - (1 - p_o)/(1 - p_e) with p_e the chance agreement implied by
     the marginals.
     """
-    n = table.n
-    if n == 0:
-        raise ParameterError("empty contingency table")
-    square, _ = _aligned_square(table)
+    n = int(square.sum())
     p_o = float(np.trace(square)) / n
     col = square.sum(axis=0)
-    present = col > 0
-    recalls = np.diag(square)[present] / col[present]
-    aa = float(recalls.mean())
+    aa = float((np.diag(square) / col).mean())
     p_e = float((square.sum(axis=1) / n) @ (col / n))
     if p_e == 1.0:
         kappa = 1.0 if p_o == 1.0 else 0.0
@@ -206,8 +193,7 @@ def evaluate_labelings(pred, truth) -> dict:
     table = contingency(pred, truth, truth > 0)
     mapped = np.zeros((table.col_labels.size,) * 2, dtype=np.int64)
     np.add.at(mapped, table.counts.argmax(axis=1), table.counts)
-    oa, aa, kappa = supervised_scores(
-        ContingencyTable(mapped, table.col_labels, table.col_labels))
+    oa, aa, kappa = _supervised_scores(mapped)
     return {
         "nmi": nmi(table),
         "ars": ars(pair_counts(table)),

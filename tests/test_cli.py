@@ -305,7 +305,7 @@ class TestTrainSegment:
 
 # every key a --config file may set, with its default
 DOCUMENTED_DEFAULTS = {
-    "seed": 0, "reduction": "none", "method": "cae3d",
+    "seed": 0, "reduction": "none",
     "clusters": 2, "patch_spatial": 5, "kernels_per_layer": 32, "kernel_spatial": 3,
     "kernel_depth": 9, "embedding_dim": 25, "dropout_p": 0.5,
     "batch_size": 256, "epsilon": 1e-6, "stage1_max_epochs": 500, "stage2_epochs": 25,
@@ -320,7 +320,7 @@ class TestRunConfig:
         run_keys = {f.name for f in fields(RunConfig)} - {"arch", "schedule"}
         arch_keys = {f.name for f in fields(CaeConfig)} - {"bands"}
         schedule_keys = {f.name for f in fields(TrainConfig)}
-        assert run_keys == {"seed", "reduction", "method"}
+        assert run_keys == {"seed", "reduction"}
         assert not (run_keys & arch_keys or run_keys & schedule_keys
                     or arch_keys & schedule_keys)
         assert run_keys | arch_keys | schedule_keys == set(DOCUMENTED_DEFAULTS)
@@ -353,6 +353,15 @@ class TestRunConfig:
         with pytest.raises(ParameterError, match="loss weight"):
             RunConfig.load(path, {})
 
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    def test_method_is_not_a_config_key(self, scene_dir, tmp_path, command):
+        """The clusterer is the baseline's --method flag; no config file sets it."""
+        config = write_config(tmp_path, method="kmeans")
+        flags = ["--method", "kmeans"] if command == "baseline" else []
+        assert run(command, *flags, "--config", config, "--cube", scene_dir / "cube.hsic",
+                   "--out-dir", tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_values_checked_against_declared_types(self, tmp_path):
         """An int is accepted where a float is declared; a bool is never an int."""
         path = tmp_path / "config.json"
@@ -360,7 +369,7 @@ class TestRunConfig:
         assert RunConfig.load(path, {}).schedule == TrainConfig(alpha=0, lr=1, epsilon=0)
         for key, value in [("seed", True), ("batch_size", 8.0), ("kernel_depth", "3"),
                            ("lr", "0.1"), ("lr", False), ("reduction", 1),
-                           ("method", None), ("clusters", [3])]:
+                           ("reduction", None), ("clusters", [3])]:
             path.write_text(json.dumps({key: value}))
             with pytest.raises(ParameterError, match=key):
                 RunConfig.load(path, {})

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsiseg.cube import (HsiCube, SegmentationMap, extract_patches, load_cube,
-                         load_labels, normalize, write_cube, write_labels,
-                         write_ppm)
+                         load_labels, normalize, patch_windows, write_cube,
+                         write_labels, write_ppm)
 from hsiseg.errors import (FormatError, ParameterError, ShapeError,
                            SizeMismatchError)
 
@@ -156,14 +156,14 @@ class TestExtractPatches:
     def test_one_patch_per_pixel(self):
         cube = random_cube(np.random.default_rng(2), height=5, width=5)
         batch = extract_patches(cube)
-        assert len(batch) == 25
+        assert len(batch.patches) == 25
 
     def test_interior_pixel_equals_direct_slice(self):
         cube = random_cube(np.random.default_rng(3), height=9, width=9)
         batch = extract_patches(cube)
         idx = 4 * 9 + 4  # row-major position of pixel (4, 4)
         np.testing.assert_array_equal(batch.patches[idx], cube.values[2:7, 2:7, :])
-        np.testing.assert_array_equal(batch.coords[idx], [4, 4])
+        np.testing.assert_array_equal(batch.patches[idx], patch_windows(cube, 5)[4, 4])
 
     def test_corner_mirror_reflection(self):
         """At (0,0) the offsets (-2,-1,0,1,2) must read rows (2,1,0,1,2)."""
@@ -180,9 +180,9 @@ class TestExtractPatches:
         rng = np.random.default_rng(5)
         cube = random_cube(rng, labeled=True)
         batch = extract_patches(cube)
-        assert len(batch) == int((cube.labels > 0).sum())
-        xs, ys = batch.coords[:, 0], batch.coords[:, 1]
-        assert np.all(cube.labels[ys, xs] > 0)
+        ys, xs = np.nonzero(cube.labels > 0)  # the labelled pixels, row-major
+        assert len(ys) < cube.height * cube.width
+        np.testing.assert_array_equal(batch.patches, patch_windows(cube, 5)[ys, xs])
 
     def test_even_spatial_rejected(self):
         cube = random_cube(np.random.default_rng(7))
@@ -200,5 +200,5 @@ class TestExtractPatches:
         rng = np.random.default_rng(seed)
         cube = random_cube(rng, height=7, width=6, labeled=True)
         batch = extract_patches(cube, spatial=spatial)
-        assert len(batch) == int((cube.labels > 0).sum())
+        assert len(batch.patches) == int((cube.labels > 0).sum())
         assert batch.patches.shape[1:] == (spatial, spatial, cube.bands)

@@ -368,12 +368,18 @@ class TestSegment:
         q = cae.soft_assign(expected, params.centers.data).data
         np.testing.assert_array_equal(labels.ravel(), q.argmax(axis=1) + 1)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64, 256])
-    def test_stripes_match_at_paper_shape(self, monkeypatch, chunk):
+    # 4- and 5-row stripes of the 9-wide scene give products of 36 and 45
+    # rows, which two OpenBLAS threads round differently at 50 columns
+    @pytest.mark.parametrize("chunk, embedding_dim", [
+        (1, 25), (7, 25), (64, 25), (256, 25), (36, 50), (45, 50)],
+        ids=["1", "7", "64", "256", "36-dim50", "45-dim50"])
+    def test_stripes_match_at_paper_shape(self, monkeypatch, chunk, embedding_dim):
         """103 bands and 32 kernels: OpenBLAS would round the folded map's
         GEMM for a short stripe in another kernel unless it is padded (with
-        two threads, also any product of up to 16 rows)."""
-        cube, params, expected = self._odd_scene(cae.CaeConfig(bands=103), 9, 8)
+        two threads, also any product of up to 16 rows, or of 33 to N rows
+        for some widths N)."""
+        config = cae.CaeConfig(bands=103, embedding_dim=embedding_dim)
+        cube, params, expected = self._odd_scene(config, 9, 8)
         monkeypatch.setattr(train, "INFERENCE_CHUNK", chunk)
         stripes = record_stripes(monkeypatch)
         segment(params, cube)
