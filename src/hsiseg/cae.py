@@ -23,7 +23,7 @@ byte-identical archives.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +33,14 @@ from .archive import load_archive, save_archive
 from .autodiff import Tape, Tensor
 from .clustering import kmeans
 from .errors import (ConfigError, DegenerateDataError, FormatError,
-                     ParameterError, ShapeError, StateError)
+                     ParameterError, ShapeError, StateError, check_knobs)
 
 
 @dataclass(frozen=True)
 class CaeConfig:
     """Architecture hyperparameters.
 
+    Each knob has its declared type (see :func:`~hsiseg.errors.check_knobs`).
     The spatial kernel extent must satisfy 2*(kernel_spatial-1)+1 ==
     patch_spatial so that the two valid convolutions collapse the patch to a
     single central position, and the spectral kernel depth must leave at
@@ -56,22 +57,24 @@ class CaeConfig:
     dropout_p: float = 0.5
 
     def __post_init__(self):
-        for name in ("bands", "clusters", "patch_spatial", "kernels_per_layer",
-                     "kernel_spatial", "kernel_depth", "embedding_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if 2 * (self.kernel_spatial - 1) + 1 != self.patch_spatial:
-            raise ConfigError(
-                f"two valid {self.kernel_spatial}x{self.kernel_spatial} stages do not "
-                f"collapse a {self.patch_spatial}x{self.patch_spatial} patch to 1x1")
-        if self.bands - 2 * (self.kernel_depth - 1) < 1:
-            raise ConfigError(
-                f"kernel depth {self.kernel_depth} leaves no spectral extent "
-                f"after two layers on {self.bands} bands")
-        if self.clusters < 2:
-            raise ConfigError("clustering needs at least two clusters")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout probability must lie in [0, 1), got {self.dropout_p}")
+        self.check_architecture(vars(self))
+        check_knobs(CaeConfig, vars(self), {"bands": (
+            lambda v: v - 2 * (self.kernel_depth - 1) >= 1,
+            f"kernel depth {self.kernel_depth} leaves no spectral extent after two layers")})
+
+    @classmethod
+    def check_architecture(cls, arch: dict) -> None:
+        """Every check but the spectral extent's, which needs ``bands``, on
+        the ``arch`` knobs (absent ones take their defaults)."""
+        knobs = {f.name: f.default for f in fields(cls)} | arch
+        positive, ks = (lambda v: v >= 1, "must be positive"), knobs["kernel_spatial"]
+        check_knobs(cls, knobs, {  # kernel_spatial is checked before patch_spatial reads it
+            "clusters": (lambda v: v >= 2, "clustering needs at least two clusters"),
+            **dict.fromkeys(("kernels_per_layer", "kernel_spatial", "kernel_depth",
+                             "embedding_dim"), positive),
+            "patch_spatial": (lambda v: v == 2 * (ks - 1) + 1,
+                              f"two valid {ks}x{ks} stages do not collapse it to 1x1"),
+            "dropout_p": (lambda v: 0.0 <= v < 1.0, "dropout probability must lie in [0, 1)")})
 
     @property
     def conv1_depth(self) -> int:
@@ -322,9 +325,9 @@ def load_checkpoint(path: str | Path) -> tuple[CaeParams, dict]:
     meta, arrays = load_archive(path)
     if meta.get("format") != "hsiseg-checkpoint":
         raise FormatError(f"{path} is not a parameter checkpoint")
-    if meta.get("version") != _CHECKPOINT_VERSION:
-        raise FormatError(f"{path} has checkpoint version {meta.get('version')!r}, "
-                          f"expected {_CHECKPOINT_VERSION}")
+    if type(version := meta.get("version")) is not int or version != _CHECKPOINT_VERSION:
+        raise FormatError(f"{path} has checkpoint version {version!r}, "
+                          f"expected the integer {_CHECKPOINT_VERSION}")
     try:
         config = CaeConfig.from_dict(meta["config"])
     except (KeyError, TypeError, ConfigError) as exc:

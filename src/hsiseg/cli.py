@@ -26,16 +26,12 @@ from .archive import save_archive
 from .cube import (HsiCube, load_cube, load_labels, normalize, write_cube,
                    write_labels, write_ppm)
 from .errors import (DataError, FormatError, HsisegError, NumericalError,
-                     ParameterError, ShapeError)
+                     ParameterError, ShapeError, check_knobs)
 
 REDUCTIONS = ("none", "pca", "smsi", "external")
 
 
-# the JSON values a config key of each declared field type accepts
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
-
-# architecture knobs (every CaeConfig field but bands, which the cube
-# fixes) and their defaults; CaeConfig validates them once the cube is known
+# architecture knobs (CaeConfig's fields but bands, which the cube fixes) and defaults
 ARCH_DEFAULTS = {f.name: f.default for f in fields(cae.CaeConfig) if f.name != "bands"}
 
 
@@ -47,6 +43,8 @@ class RunConfig:
     its owner: the run-level keys stay here, the architecture keys go to
     ``arch`` (the :class:`~hsiseg.cae.CaeConfig` fields but ``bands``) and
     the schedule keys to ``schedule`` (a :class:`~hsiseg.train.TrainConfig`).
+    Building one checks every key, ``arch`` through
+    :meth:`~hsiseg.cae.CaeConfig.check_architecture`, before any file is read.
     """
 
     seed: int = 0
@@ -55,8 +53,10 @@ class RunConfig:
     schedule: train.TrainConfig = field(default_factory=train.TrainConfig)
 
     def __post_init__(self):
-        if self.reduction not in REDUCTIONS:
-            raise ParameterError(f"reduction must be one of {REDUCTIONS}")
+        check_knobs(RunConfig, vars(self), {
+            "seed": (lambda v: v >= 0, "seed must be non-negative"),
+            "reduction": (lambda v: v in REDUCTIONS, f"reduction must be one of {REDUCTIONS}")})
+        cae.CaeConfig.check_architecture(self.arch)
 
     def to_dict(self) -> dict:
         """The flat key/value form that config files and artifacts use."""
@@ -80,13 +80,6 @@ class RunConfig:
         unknown = set(data) - set(cls().to_dict())
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        declared = {f.name: f.type for owner in (cls, cae.CaeConfig, train.TrainConfig)
-                    for f in fields(owner)}
-        for key, value in data.items():
-            # bool subclasses int, but true/false is never a count or a seed
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[declared[key]]):
-                raise ParameterError(f"config key {key!r} must be of type "
-                                     f"{declared[key]}, got {value!r}")
         arch = {k: data.pop(k, default) for k, default in ARCH_DEFAULTS.items()}
         schedule = train.TrainConfig(**{f.name: data.pop(f.name)
                                         for f in fields(train.TrainConfig) if f.name in data})
@@ -99,13 +92,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _load_scene(cube_path: str, truth_path: str | None) -> HsiCube:
     cube = load_cube(cube_path)
-    if truth_path is not None:
-        labels = load_labels(truth_path)
-        if labels.shape != (cube.height, cube.width):
-            raise ShapeError(f"truth raster {labels.shape} does not match cube "
-                             f"{(cube.height, cube.width)}")
-        cube.labels = labels
-    return cube
+    if truth_path is None:
+        return cube
+    return HsiCube(cube.values, load_labels(truth_path), cube.wavelengths)
 
 
 def _apply_reduction(cube: HsiCube, method: str, dims: int) -> HsiCube:
@@ -140,21 +129,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    try:
-        values = np.load(args.values)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.values}: {exc}") from exc
-    if values.ndim != 3:
-        raise ShapeError(f"expected a (height, width, bands) array, got {values.shape}")
-    wavelengths = np.load(args.wavelengths) if args.wavelengths else None
-    cube = HsiCube(values=values.astype(np.float64), wavelengths=wavelengths)
+    cube = HsiCube(np.load(args.values),
+                   np.load(args.labels) if args.labels else None,
+                   np.load(args.wavelengths) if args.wavelengths else None)
     write_cube(cube, args.out)
-    if args.labels:
-        labels = np.load(args.labels)
-        if labels.shape != values.shape[:2]:
-            raise ShapeError(f"labels {labels.shape} do not match grid {values.shape[:2]}")
-        truth_path = args.out_truth or str(Path(args.out).with_suffix(".gt"))
-        write_labels(labels, truth_path)
+    if cube.labels is not None:
+        write_labels(cube.labels, args.out_truth or Path(args.out).with_suffix(".gt"))
     return 0
 
 
@@ -222,9 +202,6 @@ def _segment_with_checkpoint(checkpoint_path: str, cube: HsiCube):
     if normalized:
         cube = normalize(cube)
     cube = _apply_reduction(cube, reduction_name, params.config.embedding_dim)
-    if cube.bands != params.config.bands:
-        raise ShapeError(f"cube has {cube.bands} bands after preprocessing, "
-                         f"checkpoint expects {params.config.bands}")
     return train.segment(params, cube), meta
 
 
@@ -249,8 +226,6 @@ def cmd_baseline(args) -> int:
         "reduction": args.reduction,
     })
     clusters = config.arch["clusters"]
-    if clusters < 2:
-        raise ParameterError("baselines need at least two clusters")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -28,6 +28,7 @@ class HsiCube:
 
     ``labels`` (optional) holds per-pixel class ids with 0 reserved for
     background/unknown; ``wavelengths`` (optional) holds band centers in nm.
+    Construction checks each raster; labels must be non-negative integers.
     """
 
     values: np.ndarray                      # (height, width, bands) float64
@@ -45,6 +46,9 @@ class HsiCube:
             if self.labels.shape != self.values.shape[:2]:
                 raise ShapeError(
                     f"labels shape {self.labels.shape} does not match grid {self.values.shape[:2]}")
+            if not np.issubdtype(self.labels.dtype, np.integer) or self.labels.min(initial=0) < 0:
+                raise ParameterError("labels must be non-negative integer class ids, "
+                                     f"got dtype {self.labels.dtype}")
         if self.wavelengths is not None:
             self.wavelengths = np.asarray(self.wavelengths, dtype=np.float64)
             if self.wavelengths.shape != (self.values.shape[2],):

@@ -1,8 +1,11 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the one config-knob check.
 
 The CLI maps these onto exit codes: file/format problems exit 2,
 numerical failures exit 3, every other contract violation exits 1.
 """
+
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class HsisegError(Exception):
@@ -47,3 +50,18 @@ class SizeMismatchError(DataError):
 
 class NumericalError(HsisegError):
     """A numerical procedure failed despite valid inputs."""
+
+
+def check_knobs(owner, values: dict, rules: dict) -> None:
+    """Raise :class:`ConfigError` naming the first knob of ``rules`` (name ->
+    (ok, what ok asks)) whose value in ``values`` fails ``ok`` or its type in
+    dataclass ``owner``: an int is never a bool or a float, a float is any int
+    or float but a bool, and numpy scalars count."""
+    declared = {f.name: f.type for f in fields(owner)}
+    for name, (ok, rule) in rules.items():
+        value, kind = values[name], {"int": Integral, "float": Real, "str": str}[declared[name]]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"config key {name!r} must be of type {declared[name]}, "
+                              f"got {value!r}")
+        if not ok(value):
+            raise ConfigError(f"config key {name!r}: {rule}, got {value!r}")

@@ -27,7 +27,7 @@ from . import autodiff as ad
 from . import cae
 from .autodiff import Tape, Tensor
 from .cube import HsiCube, SegmentationMap, extract_patches, patch_windows
-from .errors import NumericalError, ParameterError, ShapeError
+from .errors import NumericalError, ParameterError, ShapeError, check_knobs
 
 INFERENCE_CHUNK = 256  # pixels per segment stripe: bounds segment's gathered patches
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
@@ -62,7 +62,7 @@ def adam_step(params: list[tuple[str, Tensor]], state: AdamState) -> AdamState:
 
 @dataclass
 class TrainConfig:
-    """Knobs of the two-stage schedule."""
+    """Knobs of the two-stage schedule, checked by :func:`~hsiseg.errors.check_knobs`."""
 
     batch_size: int = 256
     epsilon: float = 1e-6          # stage-1 stop: |L(t) - L(t-1)| < epsilon
@@ -72,19 +72,15 @@ class TrainConfig:
     lr: float = 1e-4
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ParameterError("batch size must be at least 1")
-        if self.stage1_max_epochs < 2:
-            raise ParameterError("stage 1 needs at least two epochs to compare losses")
-        if not 0 <= self.stage2_epochs <= 25:
-            raise ParameterError("stage-2 epoch count must lie in [0, 25]")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ParameterError(f"loss weight must lie in [0, 1), got {self.alpha}")
-        # written so that NaN fails too
-        if not 0.0 <= self.epsilon < np.inf:
-            raise ParameterError(f"epsilon must be finite and non-negative, got {self.epsilon}")
-        if not 0.0 < self.lr < np.inf:
-            raise ParameterError(f"learning rate must be finite and positive, got {self.lr}")
+        # the float ranges are written so that NaN fails them too
+        check_knobs(TrainConfig, vars(self), {
+            "batch_size": (lambda v: v >= 1, "batch size must be at least 1"),
+            "epsilon": (lambda v: 0.0 <= v < np.inf, "epsilon must be finite and non-negative"),
+            "stage1_max_epochs": (lambda v: v >= 2,
+                                  "stage 1 needs at least two epochs to compare losses"),
+            "stage2_epochs": (lambda v: 0 <= v <= 25, "stage-2 epoch count must lie in [0, 25]"),
+            "alpha": (lambda v: 0.0 <= v < 1.0, "loss weight must lie in [0, 1)"),
+            "lr": (lambda v: 0.0 < v < np.inf, "learning rate must be finite and positive")})
 
 
 @dataclass

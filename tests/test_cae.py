@@ -403,6 +403,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_non_integer_version_rejected(self, tmp_path, version):
+        """The version is the JSON integer 1: true and 1.0 compare equal to it
+        in Python but are not it."""
+        path = self._saved(tmp_path, lambda meta, arrays: meta.update(version=version))
+        with pytest.raises(FormatError, match="version"):
+            load_checkpoint(path)
+
     def test_other_archive_format_rejected(self, tmp_path):
         path = self._saved(tmp_path, lambda meta, arrays: meta.update(format="hsiseg-gmm"))
         with pytest.raises(FormatError, match="not a parameter checkpoint"):

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from hsiseg.archive import load_archive, save_archive
 from hsiseg.autodiff import Tensor
 from hsiseg.cae import CaeConfig, build_cae, save_checkpoint
 from hsiseg.cli import RunConfig, main
@@ -71,6 +72,20 @@ class TestSynthAndConvert:
         cube = load_cube(tmp_path / "cube.hsic")
         np.testing.assert_allclose(cube.values, values, atol=1e-7)
         np.testing.assert_array_equal(load_labels(tmp_path / "cube.gt"), labels)
+
+    @pytest.mark.parametrize("labels", [np.full((6, 5), 1.7), np.full((6, 5), np.nan),
+                                        np.full((6, 5), -1)],
+                             ids=["float", "nan", "negative"])
+    def test_convert_rejects_labels_that_are_not_class_ids(self, tmp_path, labels):
+        """Labels must be non-negative integers: a float label is never rounded
+        to a class, and nothing is written before the labels are checked."""
+        np.save(tmp_path / "values.npy", np.ones((6, 5, 7)))
+        np.save(tmp_path / "labels.npy", labels)
+        (tmp_path / "out").mkdir()
+        assert run("convert", "--values", tmp_path / "values.npy",
+                   "--labels", tmp_path / "labels.npy",
+                   "--out", tmp_path / "out" / "cube.hsic") == 1
+        assert not any((tmp_path / "out").iterdir())
 
     def test_convert_bad_shape(self, tmp_path):
         np.save(tmp_path / "flat.npy", np.zeros((4, 4)))
@@ -239,6 +254,19 @@ class TestTrainSegment:
                    "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "bad.gt") == 2
         assert not (tmp_path / "bad.gt").exists()
 
+    @pytest.mark.parametrize("key, value", [("bands", 8.0), ("kernel_depth", 3.0),
+                                            ("kernels_per_layer", 4.0), ("clusters", 3.0)])
+    def test_mistyped_stored_config_is_format_error(self, scene_dir, tmp_path, key, value):
+        """A stored architecture value of the wrong type (a float where an int
+        is declared) makes the checkpoint invalid (exit 2), not a traceback."""
+        save_segmenter(tmp_path / "model.zip")
+        meta, arrays = load_archive(tmp_path / "model.zip")
+        meta["config"][key] = value
+        save_archive(tmp_path / "model.zip", meta, list(arrays.items()))
+        assert run("segment", "--checkpoint", tmp_path / "model.zip",
+                   "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "map.gt") == 2
+        assert not (tmp_path / "map.gt").exists()
+
     def test_segment_takes_no_truth(self, scene_dir, tmp_path):
         """segment labels every pixel whatever the ground truth says, so it
         accepts none: --truth is a usage error (exit 1)."""
@@ -361,6 +389,37 @@ class TestRunConfig:
         assert run(command, *flags, "--config", config, "--cube", scene_dir / "cube.hsic",
                    "--out-dir", tmp_path / "out") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    @pytest.mark.parametrize("override", [{"kernel_depth": -5}, {"dropout_p": 7.0},
+                                          {"kernels_per_layer": 0}])
+    def test_architecture_checked_at_load(self, scene_dir, tmp_path, command, override):
+        """Every command checks the architecture knobs before it reads the
+        cube or creates its output directory, baseline included."""
+        config = write_config(tmp_path, **override)
+        flags = ["--method", "kmeans"] if command == "baseline" else []
+        assert run(command, *flags, "--config", config, "--cube", scene_dir / "cube.hsic",
+                   "--out-dir", tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", sorted(DOCUMENTED_DEFAULTS))
+    def test_owners_check_types_when_built_directly(self, key):
+        """CaeConfig, TrainConfig and RunConfig built without RunConfig.load
+        reject a bool and a string for every key, and a float for every int
+        key: the library and the CLI share one type rule."""
+        bad = [True, "3"] + [3.0] * (type(DOCUMENTED_DEFAULTS[key]) is int)
+        if key in {f.name for f in fields(CaeConfig)}:
+            owners = [lambda v: CaeConfig(bands=20, **{key: v}),
+                      lambda v: RunConfig(arch={key: v})]
+        elif key in {f.name for f in fields(TrainConfig)}:
+            owners = [lambda v: TrainConfig(**{key: v})]
+        else:
+            owners = [lambda v: RunConfig(**{key: v})]
+        for build in owners:
+            build(DOCUMENTED_DEFAULTS[key])
+            for value in bad:
+                with pytest.raises(ParameterError, match=key):
+                    build(value)
 
     def test_values_checked_against_declared_types(self, tmp_path):
         """An int is accepted where a float is declared; a bool is never an int."""
