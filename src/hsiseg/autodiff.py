@@ -25,9 +25,7 @@ blocks are then summed.  The last kd - 1 rows of each band run have windows
 that cross into the next run; they are invalid, dropped from every output,
 and carry zero adjoint, which makes the two adjoints the same tap GEMMs.
 Inference does not run these cores over patches: it maps them through one
-``dense``, the encoder folded by :func:`hsiseg.cae.encoder_map`.
-:func:`_gemm` keeps every product on one BLAS kernel, so a row of a
-``dense`` output has the same bits however many rows come with it.
+affine map, the encoder folded by :func:`hsiseg.cae.encoder_map`.
 """
 
 from __future__ import annotations
@@ -181,31 +179,6 @@ def _tap_windows(rows: np.ndarray, kd: int):
         yield a, np.ascontiguousarray(win[a:b]).reshape(b - a, kd * q)
 
 
-SMALL_GEMM = 10 ** 6  # OpenBLAS 0.3 on x86-64: largest M*N*K it sends to its small-matrix kernels
-
-
-def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``a @ b`` into ``out`` through BLAS's blocked GEMM kernel, whatever the size.
-
-    OpenBLAS computes a product of M*N*K <= SMALL_GEMM with small-matrix
-    kernels, with more than one thread it also rounds a product of at most
-    16 rows, or for some widths N of 33 to N rows, differently, and numpy
-    computes a one-row product with GEMV.  All of these round differently
-    from the blocked GEMM, so a row's result would depend on how many rows
-    came with it.  A smaller product gets zero rows appended to ``a`` until
-    it has more than 16 and more than N rows and exceeds SMALL_GEMM.  These
-    limits are specific to that BLAS; another BLAS may switch kernels
-    elsewhere.
-    """
-    need = max(17, b.shape[1] + 1, SMALL_GEMM // max(1, b.size) + 1)
-    if 0 < len(a) < need:
-        padded = np.zeros((need, a.shape[1]))
-        padded[:len(a)] = a
-        out[:] = (padded @ b)[:len(a)]
-        return out
-    return np.matmul(a, b, out=out)
-
-
 def _tap_gemm(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """``out[r] = sum_l rows[r+l] @ taps[l]`` for (m, q) rows and (kd, q, K) taps.
 
@@ -224,12 +197,12 @@ def _tap_gemm(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
     if q <= K:
         flat = taps.reshape(kd * q, K)
         for a, windows in _tap_windows(rows, kd):
-            _gemm(windows, flat, out[a:a + len(windows)])
+            np.matmul(windows, flat, out=out[a:a + len(windows)])
         return out
     wide = taps.transpose(1, 0, 2).reshape(q, kd * K)
     bounds = _chunk_bounds(n, kd * K)
     for a, b in zip(bounds, bounds[1:]):
-        cols = _gemm(rows[a:b + kd - 1], wide, np.empty((b - a + kd - 1, kd * K)))
+        cols = rows[a:b + kd - 1] @ wide
         block = out[a:b]
         block[:] = cols[:b - a, :K]
         for l in range(1, kd):
@@ -379,7 +352,7 @@ def dense(x, weights, bias, tape: Tape | None = None) -> Tensor:
     if x.data.ndim != 2 or x.data.shape[1] != w.shape[1]:
         raise ShapeError(f"input {x.data.shape} does not match weights {w.shape}")
 
-    out_data = _gemm(x.data, w.T, np.empty((len(x.data), len(w))))
+    out_data = x.data @ w.T
     out_data += b
 
     def backward(g):
@@ -407,11 +380,16 @@ def dropout(x, p: float, rng: np.random.Generator | None = None,
         return x
 
     keep = rng.random(x.data.shape) >= p
-    factor = keep / (1.0 - p)
-    out_data = x.data * factor
+    scale = 1.0 / (1.0 - p)
+    out_data = x.data * scale
+    out_data *= keep  # a multiply, so a dropped entry keeps the sign of x * 0.0
 
     def backward(g):
-        return (g * factor if x.requires_grad else None,)
+        if not x.requires_grad:
+            return (None,)
+        dx = g * scale
+        dx *= keep
+        return (dx,)
 
     return _emit(tape, out_data, (x,), backward)
 

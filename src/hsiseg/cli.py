@@ -26,7 +26,7 @@ from .archive import save_archive
 from .cube import (HsiCube, load_cube, load_labels, normalize, write_cube,
                    write_labels, write_ppm)
 from .errors import (DataError, FormatError, HsisegError, NumericalError,
-                     ParameterError, ShapeError, check_knobs)
+                     ParameterError, check_knobs)
 
 REDUCTIONS = ("none", "pca", "smsi", "external")
 
@@ -268,8 +268,6 @@ def cmd_baseline(args) -> int:
 def cmd_evaluate(args) -> int:
     predicted = load_labels(args.map)
     truth = load_labels(args.truth)
-    if predicted.shape != truth.shape:
-        raise ShapeError(f"map {predicted.shape} and truth {truth.shape} disagree")
     scores = metrics.evaluate_labelings(predicted, truth)
     payload = {"config": {"map": str(args.map), "truth": str(args.truth)}, **scores}
     text = json.dumps(payload, sort_keys=True, indent=1)

@@ -57,20 +57,22 @@ class PairCounts:
 
 
 def contingency(labels_a, labels_b, mask=None) -> ContingencyTable:
-    """Co-occurrence table of two equal-length labelings.
+    """Co-occurrence table of two integer labelings of one shape, paired by position.
 
-    ``mask``, when given, selects the points to keep (True = keep); the
-    callers use it to exclude background pixels.
+    ``mask``, when given, has that shape too and selects the points to keep
+    (True = keep); the callers use it to exclude background pixels.
     """
-    a = np.asarray(labels_a).ravel()
-    b = np.asarray(labels_b).ravel()
+    a, b = np.asarray(labels_a), np.asarray(labels_b)
     if a.shape != b.shape:
-        raise ParameterError(f"labelings disagree in length: {a.shape} vs {b.shape}")
+        raise ParameterError(f"labelings disagree in shape: {a.shape} vs {b.shape}")
+    if not (np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)):
+        raise ParameterError(f"labels must be integers, got {a.dtype} and {b.dtype}")
     if mask is not None:
-        m = np.asarray(mask, dtype=bool).ravel()
+        m = np.asarray(mask, dtype=bool)
         if m.shape != a.shape:
-            raise ShapeError("mask length must match the labelings")
+            raise ShapeError(f"mask shape {m.shape} does not match the labelings' {a.shape}")
         a, b = a[m], b[m]
+    a, b = a.ravel(), b.ravel()
     if a.size == 0:
         raise DegenerateDataError("no points left after masking")
     row_labels, ai = np.unique(a, return_inverse=True)
@@ -189,7 +191,7 @@ def evaluate_labelings(pred, truth) -> dict:
     and labeled as such: each cluster's row of the contingency table joins
     the row of the class it overlaps most (ties toward the smaller class id).
     """
-    truth = np.asarray(truth).ravel()
+    truth = np.asarray(truth)
     table = contingency(pred, truth, truth > 0)
     mapped = np.zeros((table.col_labels.size,) * 2, dtype=np.int64)
     np.add.at(mapped, table.counts.argmax(axis=1), table.counts)

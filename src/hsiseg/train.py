@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import cae
 from .autodiff import Tape, Tensor
 from .cube import HsiCube, SegmentationMap, extract_patches, patch_windows
@@ -115,15 +114,33 @@ def _as_patch_array(patches) -> np.ndarray:
     return patches
 
 
+def _encode_rows(rows: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``rows @ weights.T + bias``, each row with the same bits whatever the row count.
+
+    That makes every :func:`segment` stripe equal :func:`embed_all`.  OpenBLAS
+    0.3 on x86-64 rounds differently a product of M*N*K <= 10**6 (its
+    small-matrix kernels) and, with two or more threads, a product of at most
+    16 rows or, for some widths N, of 33 to N rows; numpy runs one row as a
+    GEMV.  So a smaller product gets zero rows until it has more than 16 and
+    more than N rows and exceeds 10**6 multiply-adds.  The stripe tests of
+    ``TestSegment`` in tests/test_train.py pin this; run them at 1 and 2 threads.
+    """
+    count = len(rows)
+    need = max(17, len(weights) + 1, 10 ** 6 // max(1, weights.size) + 1)
+    if count < need:
+        rows = np.concatenate([rows, np.zeros((need - count, rows.shape[1]))])
+    return (rows @ weights.T)[:count] + bias
+
+
 def embed_all(params: cae.CaeParams, patches: np.ndarray) -> np.ndarray:
     """Inference-mode embeddings of a (count, s, s, bands) patch array.
 
-    One dense map, :func:`cae.encoder_map`, of the flattened patches.
+    One affine map, :func:`cae.encoder_map`, of the flattened patches.
     """
     patches = np.asarray(patches, dtype=np.float64)
     cae._check_patch_shape(params.config, patches)
     weights, bias = cae.encoder_map(params)
-    return ad.dense(patches.reshape(len(patches), -1), weights, bias).data
+    return _encode_rows(patches.reshape(len(patches), -1), weights, bias)
 
 
 def _epoch(params: cae.CaeParams, patches: np.ndarray, cfg: TrainConfig,
@@ -268,7 +285,7 @@ def segment(params: cae.CaeParams, cube: HsiCube) -> SegmentationMap:
     labels = np.empty((cube.height, cube.width), dtype=np.int64)
     for top in range(0, cube.height, rows):
         stripe = windows[top:top + rows]
-        latents = ad.dense(stripe.reshape(-1, weights.shape[1]), weights, bias).data
+        latents = _encode_rows(stripe.reshape(-1, weights.shape[1]), weights, bias)
         q = cae.soft_assign(latents, centers.data).data
         labels[top:top + rows] = q.argmax(axis=1).reshape(stripe.shape[:2]) + 1
     return SegmentationMap(labels=labels)

@@ -1,6 +1,8 @@
 """Tests for the reverse-mode engine: brute-force oracles, adjoint
 identities, and finite-difference gradient checks for every primitive."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -11,6 +13,17 @@ from hsiseg.autodiff import (Tape, Tensor, add, conv3d, conv3d_transpose,
                              pairwise_sqdist, reshape, scale, student_t_rows,
                              sub, sum_all)
 from hsiseg.errors import ParameterError, ShapeError
+
+
+def traced_peak(step) -> int:
+    """Peak bytes allocated while ``step()`` runs, after one untraced warm-up call."""
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def conv3d_loop_oracle(x, kernels, bias):
@@ -287,6 +300,50 @@ class TestDropout:
             dropout(np.ones(3), 1.0, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             dropout(np.ones(3), 1.0)  # also checked in inference mode
+
+    def test_training_holds_a_boolean_mask(self):
+        """Beyond its output, a training call keeps less than a quarter of its
+        input's bytes for backward: a boolean mask is an eighth."""
+        x = Tensor(np.random.default_rng(9).normal(size=(64, 4096)), requires_grad=True)
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            out = dropout(x, 0.5, np.random.default_rng(10), tape)
+            held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < x.data.nbytes / 4
+
+
+class TestSmallTapeSteps:
+    """A tape step through tiny layers allocates about its own arithmetic:
+    the engine pads no product up to a BLAS kernel's size."""
+
+    BOUND = 256 * 1024  # bytes
+
+    def test_dense_step(self):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+
+        def step():
+            tape = Tape()
+            tape.backward(sum_all(dense(x, weights, np.zeros(6), tape), tape))
+
+        assert traced_peak(step) < self.BOUND
+
+    def test_convolution_step(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(1, 1, 5, 5, 8)), requires_grad=True)
+        kernels = Tensor(rng.normal(size=(4, 1, 3, 3, 3)), requires_grad=True)
+
+        def step():
+            tape = Tape()
+            y = conv3d(x, kernels, np.zeros(4), tape)
+            u = conv3d_transpose(y, kernels, np.zeros(1), tape)
+            tape.backward(sum_all(u, tape))
+
+        assert traced_peak(step) < self.BOUND
 
 
 class TestTapeSemantics:

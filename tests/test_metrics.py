@@ -36,6 +36,17 @@ class TestContingency:
         with pytest.raises(ParameterError):
             contingency([1, 2], [1, 2, 3])
 
+    def test_transposed_raster_rejected(self):
+        """Rasters pair up by position, not by flat index: a (2, 3) map is
+        not scored against its (3, 2) transpose."""
+        a = np.array([[1, 1, 2], [2, 3, 3]])
+        with pytest.raises(ParameterError):
+            evaluate_labelings(a, a.T)
+
+    def test_float_labels_rejected(self):
+        with pytest.raises(ParameterError):
+            contingency([1.7, 1.2], [1, 2])
+
     def test_empty_after_mask(self):
         with pytest.raises(DegenerateDataError):
             contingency([1, 2], [0, 0], mask=np.array([False, False]))
