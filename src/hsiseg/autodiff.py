@@ -24,8 +24,8 @@ are no wider than the output, else the output, whose kd shifted column
 blocks are then summed.  The last kd - 1 rows of each band run have windows
 that cross into the next run; they are invalid, dropped from every output,
 and carry zero adjoint, which makes the two adjoints the same tap GEMMs.
-Inference does not run these cores over patches: it maps them through one
-affine map, the encoder folded by :func:`hsiseg.cae.encoder_map`.
+Only the autoencoder's first convolution runs over a batch of patches; the
+others run over ``embedding_dim`` items, in the folds of :mod:`hsiseg.cae`.
 """
 
 from __future__ import annotations
@@ -80,9 +80,12 @@ class Tape:
     Each record holds the op's output, its input tensors, and a closure
     mapping the output adjoint to per-input adjoints.  ``backward`` walks
     the records in exact reverse execution order and accumulates adjoints
-    additively, so fan-out sums as it must.  A record's output is never a
-    leaf and its adjoint is complete once its record is reached, so it is
-    released there: after ``backward`` only the leaves hold a ``grad``.
+    additively, so fan-out sums as it must.  A tensor's first adjoint becomes
+    its ``grad`` as it is and a later one makes a new sum, never an in-place
+    update: one array can be the adjoint of two inputs (``add`` passes the
+    same ``g`` to both).  A record's output is never a leaf and its adjoint
+    is complete once its record is reached, so it is released there: after
+    ``backward`` only the leaves hold a ``grad``.
     """
 
     def __init__(self):
@@ -104,11 +107,8 @@ class Tape:
             if g is None:
                 continue
             for tensor, adj in zip(inputs, fn(g)):
-                if adj is None:
-                    continue
-                if tensor.grad is None:
-                    tensor.grad = np.zeros_like(tensor.data)
-                tensor.grad += adj
+                if adj is not None:
+                    tensor.grad = adj if tensor.grad is None else tensor.grad + adj
 
 
 def _emit(tape: Tape | None, out_data: np.ndarray, inputs: tuple[Tensor, ...],

@@ -8,9 +8,10 @@ one trainable center per cluster and converts embeddings into soft
 assignments through a Student's-t kernel; its target distribution sharpens
 confident assignments while normalizing by cluster frequency.
 
-The encoder has no nonlinearity, and dropout is an identity at inference,
-so an inference-mode latent is an affine function of the flattened patch:
-:func:`encoder_map` folds the encoder into that one dense map, through which
+The network has no nonlinearity, so training runs it through folds, affine
+maps built over ``embedding_dim`` items: only ``enc_conv1`` and dropout run
+over the batch.  Dropout is an identity at inference, so :func:`encoder_map`
+folds the whole encoder into one dense map of the flattened patch, through which
 :func:`~hsiseg.train.embed_all` and :func:`~hsiseg.train.segment` compute
 every latent.
 
@@ -175,21 +176,34 @@ def _check_patch_shape(config: CaeConfig, patches: np.ndarray):
         raise ShapeError(f"patch shape {patches.shape} does not match config {expected}")
 
 
+def _encoder_fold(params: CaeParams, tape: Tape | None = None) -> tuple[Tensor, Tensor]:
+    """``enc_dense`` after ``enc_conv2`` over a flattened ``enc_conv1`` output, built over
+    n items: (n, K*s1*s1*d1) weights and an (n,) bias, the latent of a zero one."""
+    cfg, w = params.config, params.weights
+    k, n, s1 = cfg.kernels_per_layer, cfg.embedding_dim, cfg.patch_spatial - cfg.kernel_spatial + 1
+    g = ad.reshape(w["enc_dense_w"], (n, k, 1, 1, cfg.conv2_depth), tape)
+    g = ad.conv3d_transpose(g, w["enc_conv2_w"], np.zeros(k), tape)
+    zero = np.zeros((1, k, s1, s1, cfg.conv1_depth))  # gives the kernels no adjoint
+    h = ad.conv3d(zero, w["enc_conv2_w"].data, w["enc_conv2_b"], tape)
+    bias = ad.dense(ad.reshape(h, (1, -1), tape), w["enc_dense_w"], w["enc_dense_b"], tape)
+    return ad.reshape(g, (n, -1), tape), ad.reshape(bias, (n,), tape)
+
+
 def encode_batch(params: CaeParams, patches, rng: np.random.Generator | None = None,
                  tape: Tape | None = None) -> Tensor:
     """Embed a (count, s, s, bands) batch of patches into (count, n) latents.
 
     Passing ``rng`` trains: the dropout layer draws its mask from it.
     Without it the encoder runs in inference mode and dropout is an identity.
+    Only ``enc_conv1`` and dropout run over the batch; the layers after them are one fold.
     """
     x = ad.as_tensor(patches).data
     _check_patch_shape(params.config, x)
     w = params.weights
     h = ad.conv3d(Tensor(x[:, None]), w["enc_conv1_w"], w["enc_conv1_b"], tape)
     h = ad.dropout(h, params.config.dropout_p, rng, tape)
-    h = ad.conv3d(h, w["enc_conv2_w"], w["enc_conv2_b"], tape)
-    flat = ad.reshape(h, (len(x), params.config.flat_dim), tape)
-    return ad.dense(flat, w["enc_dense_w"], w["enc_dense_b"], tape)
+    weights, bias = _encoder_fold(params, tape)
+    return ad.dense(ad.reshape(h, (len(x), weights.data.shape[1]), tape), weights, bias, tape)
 
 
 def encoder_map(params: CaeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -197,34 +211,45 @@ def encoder_map(params: CaeParams) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (n, s*s*bands) ``weights`` and (n,) ``bias`` such that
     ``dense(patches.reshape(count, -1), weights, bias)`` gives the latents
-    of :func:`encode_batch` without ``rng``.  Row j of ``weights`` is dense
-    row j run back through the two convolutions' adjoints with zero biases;
+    of :func:`encode_batch` without ``rng``.  The rows of the fold that
+    training uses run back through ``enc_conv1``'s adjoint with a zero bias;
     ``bias`` is the latent of a zero patch.
     """
-    cfg = params.config
-    w = params.weights
-    k, s = cfg.kernels_per_layer, cfg.patch_spatial
-    g = w["enc_dense_w"].data.reshape(cfg.embedding_dim, k, 1, 1, cfg.conv2_depth)
-    g = ad.conv3d_transpose(g, w["enc_conv2_w"], np.zeros(k)).data
-    g = ad.conv3d_transpose(g, w["enc_conv1_w"], np.zeros(1)).data
-    bias = encode_batch(params, np.zeros((1, s, s, cfg.bands))).data[0]
-    return g.reshape(cfg.embedding_dim, -1), bias
+    cfg, w = params.config, params.weights
+    fold, fold_bias = _encoder_fold(params)
+    s = cfg.patch_spatial
+    h = ad.conv3d(np.zeros((1, 1, s, s, cfg.bands)), w["enc_conv1_w"], w["enc_conv1_b"]).data
+    g = ad.conv3d_transpose(fold.data.reshape((-1,) + h.shape[1:]), w["enc_conv1_w"],
+                            np.zeros(1)).data
+    return g.reshape(len(g), -1), ad.dense(h.reshape(1, -1), fold, fold_bias).data[0]
 
 
 def decode_batch(params: CaeParams, latents, tape: Tape | None = None) -> Tensor:
-    """Reconstruct (count, s, s, bands) patches from (count, n) latents."""
+    """Reconstruct (count, s, s, bands) patches from (count, n) latents.
+
+    The decoder is affine, z @ D + c, one transposed convolution with 1x1x1 kernels.
+    Row j of D decodes unit latent j with zero biases; c decodes a zero latent.
+    """
     z = ad.as_tensor(latents)
     cfg = params.config
     if z.data.ndim != 2 or z.data.shape[1] != cfg.embedding_dim:
         raise ShapeError(f"latents {z.data.shape} do not match embedding size "
                          f"{cfg.embedding_dim}")
     w = params.weights
-    g = ad.dense(z, w["dec_dense_w"], w["dec_dense_b"], tape)
-    g = ad.reshape(g, (len(z.data), cfg.kernels_per_layer, 1, 1, cfg.conv2_depth), tape)
-    u = ad.conv3d_transpose(g, w["dec_conv1_w"], w["dec_conv1_b"], tape)
-    u = ad.conv3d_transpose(u, w["dec_conv2_w"], w["dec_conv2_b"], tape)
-    s = cfg.patch_spatial
-    return ad.reshape(u, (len(z.data), s, s, cfg.bands), tape)  # drop the 1-channel axis
+    k, n, s = cfg.kernels_per_layer, cfg.embedding_dim, cfg.patch_spatial
+
+    def decode(items: np.ndarray, dense_b, conv1_b, conv2_b) -> Tensor:
+        g = ad.dense(items, w["dec_dense_w"], dense_b, tape)
+        g = ad.reshape(g, (len(items), k, 1, 1, cfg.conv2_depth), tape)
+        g = ad.conv3d_transpose(g, w["dec_conv1_w"], conv1_b, tape)
+        return ad.conv3d_transpose(g, w["dec_conv2_w"], conv2_b, tape)
+
+    basis = decode(np.eye(n), np.zeros(cfg.flat_dim), np.zeros(k), np.zeros(1))
+    offset = decode(np.zeros((1, n)), w["dec_dense_b"], w["dec_conv1_b"], w["dec_conv2_b"])
+    u = ad.conv3d_transpose(ad.reshape(z, (len(z.data), n, 1, 1, 1), tape),
+                            ad.reshape(basis, (n, s * s * cfg.bands, 1, 1, 1), tape),
+                            ad.reshape(offset, (-1,), tape), tape)
+    return ad.reshape(u, (len(z.data), s, s, cfg.bands), tape)
 
 
 # ---------------------------------------------------------------------------

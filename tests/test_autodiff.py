@@ -356,6 +356,19 @@ class TestTapeSemantics:
         tape.backward(total)
         np.testing.assert_allclose(x.grad, 4.0 * x.data)
 
+    def test_fanout_of_a_shared_adjoint(self):
+        """add hands one adjoint array to both inputs.  Taking a first
+        adjoint as it is is safe only if no later one updates it in place:
+        here a's second adjoint must not leak into b's."""
+        a = Tensor(np.array([1.5, -2.0, 0.25]), requires_grad=True)
+        b = Tensor(np.array([3.0, 0.5, -1.0]), requires_grad=True)
+        tape = Tape()
+        c = add(a, b, tape)
+        d = add(c, a, tape)
+        tape.backward(sum_all(d, tape))
+        np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+
     def test_backward_releases_interior_adjoints(self):
         x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
         w = Tensor(np.array([0.5, 3.0]), requires_grad=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsiseg import autodiff as ad
 from hsiseg.archive import load_archive, save_archive
 from hsiseg.autodiff import Tape, Tensor, grad_check
 from hsiseg.cae import (CaeConfig, build_cae, clustering_loss, decode_batch,
@@ -20,6 +21,36 @@ def desk_config(**overrides):
                 embedding_dim=6, dropout_p=0.5)
     base.update(overrides)
     return CaeConfig(**base)
+
+
+def factored_encode(params, patches, rng=None, tape=None):
+    """The encoder layer by layer, as the paper draws it: the reference that
+    the folds of encode_batch and encoder_map must equal."""
+    w, cfg = params.weights, params.config
+    h = ad.conv3d(Tensor(patches[:, None]), w["enc_conv1_w"], w["enc_conv1_b"], tape)
+    h = ad.dropout(h, cfg.dropout_p, rng, tape)
+    h = ad.conv3d(h, w["enc_conv2_w"], w["enc_conv2_b"], tape)
+    flat = ad.reshape(h, (len(patches), cfg.flat_dim), tape)
+    return ad.dense(flat, w["enc_dense_w"], w["enc_dense_b"], tape)
+
+
+def factored_decode(params, latents, tape=None):
+    """The decoder layer by layer: the reference for decode_batch's fold."""
+    w, cfg = params.weights, params.config
+    count = len(latents.data)
+    g = ad.dense(latents, w["dec_dense_w"], w["dec_dense_b"], tape)
+    g = ad.reshape(g, (count, cfg.kernels_per_layer, 1, 1, cfg.conv2_depth), tape)
+    g = ad.conv3d_transpose(g, w["dec_conv1_w"], w["dec_conv1_b"], tape)
+    g = ad.conv3d_transpose(g, w["dec_conv2_w"], w["dec_conv2_b"], tape)
+    s = cfg.patch_spatial
+    return ad.reshape(g, (count, s, s, cfg.bands), tape)
+
+
+def perturb_biases(params, seed):
+    """Nonzero biases, so that the bias folds are exercised too."""
+    for name, t in params.weight_items():
+        if name.endswith("_b"):
+            t.data[:] = np.random.default_rng(seed).normal(size=t.data.shape)
 
 
 class TestConfig:
@@ -144,20 +175,46 @@ class TestEncodeDecode:
                              ids=["desk", "paper"])
     def test_encoder_map_matches_conv_path(self, config):
         """The encoder is affine at inference: its folded dense map gives the
-        latents of the convolutions in inference mode.  A nonlinear layer, or
-        a dropout that is not an identity without rng, breaks this."""
+        latents of the convolutions run layer by layer in inference mode.  A
+        nonlinear layer, or a dropout that is not an identity without rng,
+        breaks this."""
         params = build_cae(config, np.random.default_rng(17))
-        for name, t in params.weight_items():
-            if name.endswith("_b"):  # exercise the bias fold too
-                t.data[:] = np.random.default_rng(18).normal(size=t.data.shape)
+        perturb_biases(params, 18)
         patches = np.random.default_rng(19).random((40, 5, 5, config.bands))
         weights, bias = encoder_map(params)
         s = config.patch_spatial
         assert weights.shape == (config.embedding_dim, s * s * config.bands)
         assert bias.shape == (config.embedding_dim,)
         folded = patches.reshape(40, -1) @ weights.T + bias
-        conv = encode_batch(params, patches).data
+        conv = factored_encode(params, patches).data
         assert np.abs(folded - conv).max() <= 1e-12 * np.abs(conv).max()
+
+    @pytest.mark.parametrize("config,batch", [(desk_config(), 16), (CaeConfig(bands=103), 256),
+                                              (desk_config(), 4)],
+                             ids=["desk", "paper", "batch-below-embedding-dim"])
+    def test_training_step_matches_factored_step(self, config, batch):
+        """encode_batch and decode_batch train through folds of the layers.
+        One step's loss and every weight's gradient, dropout on, equal those
+        of the layers run one by one with the same draw.  A nonlinearity
+        between layers breaks this."""
+        params = build_cae(config, np.random.default_rng(28))
+        perturb_biases(params, 29)
+        patches = np.random.default_rng(30).random((batch, 5, 5, config.bands))
+
+        def step(encode, decode):
+            for _, t in params.weight_items():
+                t.zero_grad()
+            tape = Tape()
+            z = encode(params, patches, np.random.default_rng(31), tape)
+            loss = reconstruction_loss(patches, decode(params, z, tape), tape)
+            tape.backward(loss)
+            return float(loss.data), {name: t.grad for name, t in params.weight_items()}
+
+        ref_loss, ref_grads = step(factored_encode, factored_decode)
+        loss, grads = step(encode_batch, decode_batch)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
     def test_roundtrip_gradient(self):
         """decode(encode(x)) loss passes the finite-difference check."""
