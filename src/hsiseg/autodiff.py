@@ -24,8 +24,9 @@ are no wider than the output, else the output, whose kd shifted column
 blocks are then summed.  The last kd - 1 rows of each band run have windows
 that cross into the next run; they are invalid, dropped from every output,
 and carry zero adjoint, which makes the two adjoints the same tap GEMMs.
-Only the autoencoder's first convolution runs over a batch of patches; the
-others run over ``embedding_dim`` items, in the folds of :mod:`hsiseg.cae`.
+Only the autoencoder's first convolution runs over a batch of patches.  In the
+folds of :mod:`hsiseg.cae` the others run over ``embedding_dim`` items, or over
+one layer's kernels to build the composite kernel of two layers.
 """
 
 from __future__ import annotations

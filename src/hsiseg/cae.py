@@ -10,10 +10,13 @@ confident assignments while normalizing by cluster frequency.
 
 The network has no nonlinearity, so training runs it through folds, affine
 maps built over ``embedding_dim`` items: only ``enc_conv1`` and dropout run
-over the batch.  Dropout is an identity at inference, so :func:`encoder_map`
-folds the whole encoder into one dense map of the flattened patch, through which
-:func:`~hsiseg.train.embed_all` and :func:`~hsiseg.train.segment` compute
-every latent.
+over the batch.  Two convolutions with nothing between them are one convolution
+by their composite kernel, the transposed convolution of the second layer's
+kernels by the first's, so the decoder's two transposed convolutions run as
+one.  Dropout is an identity at inference, so :func:`encoder_map` folds the
+whole encoder, its two convolutions composed the same way, into one dense map
+of the flattened patch, through which :func:`~hsiseg.train.embed_all` and
+:func:`~hsiseg.train.segment` compute every latent.
 
 Checkpoints are a single zip archive: ``meta.json`` (format, version and
 architecture config), ``manifest.json`` listing (name, shape, dtype, file)
@@ -211,24 +214,30 @@ def encoder_map(params: CaeParams) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (n, s*s*bands) ``weights`` and (n,) ``bias`` such that
     ``dense(patches.reshape(count, -1), weights, bias)`` gives the latents
-    of :func:`encode_batch` without ``rng``.  The rows of the fold that
-    training uses run back through ``enc_conv1``'s adjoint with a zero bias;
-    ``bias`` is the latent of a zero patch.
+    of :func:`encode_batch` without ``rng``.  The ``enc_dense`` rows run
+    back through one transposed convolution by the composite kernel of
+    ``enc_conv1`` and ``enc_conv2``, with a zero bias; ``bias`` is the
+    latent of a zero patch.
     """
     cfg, w = params.config, params.weights
-    fold, fold_bias = _encoder_fold(params)
-    s = cfg.patch_spatial
-    h = ad.conv3d(np.zeros((1, 1, s, s, cfg.bands)), w["enc_conv1_w"], w["enc_conv1_b"]).data
-    g = ad.conv3d_transpose(fold.data.reshape((-1,) + h.shape[1:]), w["enc_conv1_w"],
-                            np.zeros(1)).data
-    return g.reshape(len(g), -1), ad.dense(h.reshape(1, -1), fold, fold_bias).data[0]
+    k, n, s = cfg.kernels_per_layer, cfg.embedding_dim, cfg.patch_spatial
+    rows = w["enc_dense_w"].data.reshape(n, k, 1, 1, cfg.conv2_depth)
+    # conv3d(conv3d(x, conv1), conv2) is conv3d(x, kernel): (K, 1, 2ks-1, 2ks-1, 2kd-1)
+    kernel = ad.conv3d_transpose(w["enc_conv2_w"].data, w["enc_conv1_w"].data, np.zeros(1))
+    g = ad.conv3d_transpose(rows, kernel, np.zeros(1)).data
+    h = ad.conv3d(np.zeros((1, 1, s, s, cfg.bands)), w["enc_conv1_w"], w["enc_conv1_b"])
+    h = ad.reshape(ad.conv3d(h, w["enc_conv2_w"], w["enc_conv2_b"]), (1, -1))
+    return g.reshape(n, -1), ad.dense(h, w["enc_dense_w"], w["enc_dense_b"]).data[0]
 
 
 def decode_batch(params: CaeParams, latents, tape: Tape | None = None) -> Tensor:
     """Reconstruct (count, s, s, bands) patches from (count, n) latents.
 
     The decoder is affine, z @ D + c, one transposed convolution with 1x1x1 kernels.
-    Row j of D decodes unit latent j with zero biases; c decodes a zero latent.
+    Row j of D decodes unit latent j with zero biases: the n ``dec_dense``
+    columns run through one transposed convolution by the composite kernel
+    of ``dec_conv1`` and ``dec_conv2``, built on the tape.  c decodes a zero
+    latent through the layers.
     """
     z = ad.as_tensor(latents)
     cfg = params.config
@@ -237,15 +246,13 @@ def decode_batch(params: CaeParams, latents, tape: Tape | None = None) -> Tensor
                          f"{cfg.embedding_dim}")
     w = params.weights
     k, n, s = cfg.kernels_per_layer, cfg.embedding_dim, cfg.patch_spatial
-
-    def decode(items: np.ndarray, dense_b, conv1_b, conv2_b) -> Tensor:
-        g = ad.dense(items, w["dec_dense_w"], dense_b, tape)
-        g = ad.reshape(g, (len(items), k, 1, 1, cfg.conv2_depth), tape)
-        g = ad.conv3d_transpose(g, w["dec_conv1_w"], conv1_b, tape)
-        return ad.conv3d_transpose(g, w["dec_conv2_w"], conv2_b, tape)
-
-    basis = decode(np.eye(n), np.zeros(cfg.flat_dim), np.zeros(k), np.zeros(1))
-    offset = decode(np.zeros((1, n)), w["dec_dense_b"], w["dec_conv1_b"], w["dec_conv2_b"])
+    kernel = ad.conv3d_transpose(w["dec_conv1_w"], w["dec_conv2_w"], np.zeros(1), tape)
+    basis = ad.dense(np.eye(n), w["dec_dense_w"], np.zeros(cfg.flat_dim), tape)
+    basis = ad.reshape(basis, (n, k, 1, 1, cfg.conv2_depth), tape)
+    basis = ad.conv3d_transpose(basis, kernel, np.zeros(1), tape)
+    offset = ad.reshape(w["dec_dense_b"], (1, k, 1, 1, cfg.conv2_depth), tape)
+    offset = ad.conv3d_transpose(offset, w["dec_conv1_w"], w["dec_conv1_b"], tape)
+    offset = ad.conv3d_transpose(offset, w["dec_conv2_w"], w["dec_conv2_b"], tape)
     u = ad.conv3d_transpose(ad.reshape(z, (len(z.data), n, 1, 1, 1), tape),
                             ad.reshape(basis, (n, s * s * cfg.bands, 1, 1, 1), tape),
                             ad.reshape(offset, (-1,), tape), tape)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hsiseg import autodiff
@@ -240,6 +242,51 @@ class TestConv3dTranspose:
     def test_rank4_kernels_rejected(self):
         with pytest.raises(ShapeError):
             conv3d_transpose(np.zeros((1, 3, 3, 3)), np.zeros((1, 2, 2, 2)), np.zeros(1))
+
+
+@st.composite
+def stacked_convolutions(draw):
+    """An input and the kernels of two convolutions run back to back: channel
+    counts 1-4 (C -> J -> K), spatial extents 1-3, spectral extents 1-4."""
+    c, j, k = (draw(st.integers(1, 4)) for _ in range(3))
+    inner, outer = (tuple(draw(st.integers(1, hi)) for hi in (3, 3, 4)) for _ in range(2))
+    volume = tuple(a + b - 1 + draw(st.integers(0, 2)) for a, b in zip(inner, outer))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    return (rng.normal(size=(draw(st.integers(1, 3)), c) + volume),
+            rng.normal(size=(j, c) + inner), rng.normal(size=(k, j) + outer))
+
+
+class TestComposedKernels:
+    """Two convolutions run back to back equal one convolution by their
+    composite kernel, the transposed convolution of one kernel by the other."""
+
+    @given(stacked_convolutions())
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_transposed_convolutions(self, case):
+        x, inner, outer = case
+        y = correlate_reference(correlate_reference(x, inner), outer)  # K channels
+        stacked = conv3d_transpose(conv3d_transpose(y, outer, np.zeros(inner.shape[0])),
+                                   inner, np.zeros(inner.shape[1])).data
+        composite = conv3d_transpose(outer, inner, np.zeros(inner.shape[1]))
+        assert_close_to_reference(
+            conv3d_transpose(y, composite, np.zeros(inner.shape[1])).data, stacked)
+
+    @given(stacked_convolutions())
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_convolutions(self, case):
+        x, inner, outer = case
+        stacked = conv3d(conv3d(x, inner, np.zeros(len(inner))), outer, np.zeros(len(outer))).data
+        composite = conv3d_transpose(outer, inner, np.zeros(inner.shape[1]))
+        assert_close_to_reference(conv3d(x, composite, np.zeros(len(outer))).data, stacked)
+
+    def test_gradient_reaches_both_kernels(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(2, 2, 4, 3, 6))
+        inner = Tensor(rng.normal(size=(3, 2, 2, 1, 3)), requires_grad=True)
+        outer = Tensor(rng.normal(size=(2, 3, 2, 2, 2)), requires_grad=True)
+        f = _quadratic_through(lambda tape: conv3d(
+            x, conv3d_transpose(outer, inner, np.zeros(2), tape), np.zeros(2), tape), None)
+        assert grad_check(f, [inner, outer]) <= 1e-4
 
 
 class TestDense:

@@ -14,6 +14,7 @@ from hsiseg.cae import (CaeConfig, build_cae, clustering_loss, decode_batch,
                         target_distribution, total_loss)
 from hsiseg.errors import (ConfigError, DegenerateDataError, FormatError,
                            ShapeError, StateError)
+from test_autodiff import traced_peak
 
 
 def desk_config(**overrides):
@@ -44,6 +45,13 @@ def factored_decode(params, latents, tape=None):
     g = ad.conv3d_transpose(g, w["dec_conv2_w"], w["dec_conv2_b"], tape)
     s = cfg.patch_spatial
     return ad.reshape(g, (count, s, s, cfg.bands), tape)
+
+
+# Default desk and paper shapes; 2x2x4 kernels, whose composite kernels are
+# 3x3x7 (not 5x5); and one-band kernels, whose composite kernels are one band too.
+GEOMETRIES = {"desk": desk_config(), "paper": CaeConfig(bands=103),
+              "ks2-kd4": desk_config(kernel_spatial=2, patch_spatial=3, kernel_depth=4),
+              "kd1": desk_config(kernel_depth=1)}
 
 
 def perturb_biases(params, seed):
@@ -171,8 +179,7 @@ class TestEncodeDecode:
         with pytest.raises(ShapeError):
             decode_batch(params, np.zeros(6))  # an unbatched latent
 
-    @pytest.mark.parametrize("config", [desk_config(), CaeConfig(bands=103)],
-                             ids=["desk", "paper"])
+    @pytest.mark.parametrize("config", GEOMETRIES.values(), ids=GEOMETRIES)
     def test_encoder_map_matches_conv_path(self, config):
         """The encoder is affine at inference: its folded dense map gives the
         latents of the convolutions run layer by layer in inference mode.  A
@@ -180,18 +187,19 @@ class TestEncodeDecode:
         breaks this."""
         params = build_cae(config, np.random.default_rng(17))
         perturb_biases(params, 18)
-        patches = np.random.default_rng(19).random((40, 5, 5, config.bands))
-        weights, bias = encoder_map(params)
         s = config.patch_spatial
+        patches = np.random.default_rng(19).random((40, s, s, config.bands))
+        weights, bias = encoder_map(params)
         assert weights.shape == (config.embedding_dim, s * s * config.bands)
         assert bias.shape == (config.embedding_dim,)
         folded = patches.reshape(40, -1) @ weights.T + bias
         conv = factored_encode(params, patches).data
         assert np.abs(folded - conv).max() <= 1e-12 * np.abs(conv).max()
 
-    @pytest.mark.parametrize("config,batch", [(desk_config(), 16), (CaeConfig(bands=103), 256),
-                                              (desk_config(), 4)],
-                             ids=["desk", "paper", "batch-below-embedding-dim"])
+    @pytest.mark.parametrize("config,batch", [(config, 256 if name == "paper" else 16)
+                                              for name, config in GEOMETRIES.items()]
+                             + [(desk_config(), 4)],
+                             ids=[*GEOMETRIES, "batch-below-embedding-dim"])
     def test_training_step_matches_factored_step(self, config, batch):
         """encode_batch and decode_batch train through folds of the layers.
         One step's loss and every weight's gradient, dropout on, equal those
@@ -199,7 +207,8 @@ class TestEncodeDecode:
         between layers breaks this."""
         params = build_cae(config, np.random.default_rng(28))
         perturb_biases(params, 29)
-        patches = np.random.default_rng(30).random((batch, 5, 5, config.bands))
+        s = config.patch_spatial
+        patches = np.random.default_rng(30).random((batch, s, s, config.bands))
 
         def step(encode, decode):
             for _, t in params.weight_items():
@@ -229,6 +238,28 @@ class TestEncodeDecode:
             return reconstruction_loss(patch, out, tape)
 
         assert grad_check(f, tensors, eps=1e-3) <= 1e-4
+
+
+class TestPaperShapeMemory:
+    """At paper shape the inference map and a decoder step run their
+    embedding_dim rows through one composite kernel, not through two layers,
+    and allocate about that arithmetic: no (n, K*3*3*d1) intermediate."""
+
+    CONFIG = CaeConfig(bands=103, clusters=9)
+
+    def test_encoder_map(self):
+        params = build_cae(self.CONFIG, np.random.default_rng(40))
+        assert traced_peak(lambda: encoder_map(params)) < 8e6  # bytes
+
+    def test_decode_step(self):
+        params = build_cae(self.CONFIG, np.random.default_rng(41))
+        latents = np.random.default_rng(42).normal(size=(8, self.CONFIG.embedding_dim))
+
+        def step():
+            tape = Tape()
+            tape.backward(ad.sum_all(decode_batch(params, latents, tape), tape))
+
+        assert traced_peak(step) < 12e6  # bytes
 
 
 class TestReconstructionLoss:
