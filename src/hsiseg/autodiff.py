@@ -22,11 +22,17 @@ one GEMM per chunk of rows.  That GEMM copies kd-row windows of whichever
 side is narrower, chosen by operand shape alone: the input rows when they
 are no wider than the output, else the output, whose kd shifted column
 blocks are then summed.  The last kd - 1 rows of each band run have windows
-that cross into the next run; they are invalid, dropped from every output,
-and carry zero adjoint, which makes the two adjoints the same tap GEMMs.
-Only the autoencoder's first convolution runs over a batch of patches.  In the
-folds of :mod:`hsiseg.cae` the others run over ``embedding_dim`` items, or over
-one layer's kernels to build the composite kernel of two layers.
+that cross into the next run; they are invalid, dropped from every
+channels-first output, and carry zero adjoint, which makes the two adjoints
+the same tap GEMMs.  This row layout with the invalid rows kept is the run
+layout; an adjoint in it is also led by kd - 1 zero rows.
+
+One op runs over a batch of patches: :func:`conv3d_dropout_dense`, the
+autoencoder's first convolution, dropout and the encoder fold's dense map in
+one.  Its activation and adjoint stay in the run layout, so neither is copied
+into the channels-first layout of the public ops.  In the folds of
+:mod:`hsiseg.cae` the other convolutions run over ``embedding_dim`` items, or
+over one layer's kernels to build the composite kernel of two layers.
 """
 
 from __future__ import annotations
@@ -140,16 +146,17 @@ def _spatial_rows(x5: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return rows.reshape(P * hp * wp * d, kh * kw * C)
 
 
-def _band_runs(g5: np.ndarray, kd: int, lead: int = 0) -> np.ndarray:
-    """A (P, K, h', w', d') adjoint as (lead + P*h'*w'*d, K) rows, zero on the invalid rows.
+def _band_runs(g5: np.ndarray, kd: int) -> np.ndarray:
+    """A (P, K, h', w', d') adjoint in run layout: (kd - 1 + P*h'*w'*d, K) rows.
 
     ``d = d' + kd - 1``: each band run carries the d' adjoint values and
     then kd - 1 zeros, in the places of the rows a correlation drops.  The
-    runs follow ``lead`` zero rows.
+    runs follow kd - 1 zero rows, which a tap GEMM with reversed taps reads
+    as the window of the first rows.
     """
     P, K, hp, wp, dp = g5.shape
-    runs = np.zeros((lead + P * hp * wp * (dp + kd - 1), K))
-    runs[lead:].reshape(P, hp, wp, dp + kd - 1, K)[:, :, :, :dp] = g5.transpose(0, 2, 3, 4, 1)
+    runs = np.zeros((kd - 1 + P * hp * wp * (dp + kd - 1), K))
+    runs[kd - 1:].reshape(P, hp, wp, dp + kd - 1, K)[:, :, :, :dp] = g5.transpose(0, 2, 3, 4, 1)
     return runs
 
 
@@ -211,17 +218,27 @@ def _tap_gemm(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _correlate_runs(rows: np.ndarray, k5: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation by (K, C, kh, kw, kd) kernels in run layout.
+
+    One tap GEMM over the spatial-window rows of :func:`_spatial_rows`: row
+    ``((p*h' + y)*w' + x)*d + z`` of the (P*h'*w'*d, K) result holds the K
+    outputs at (y, x, z).  The last kd - 1 rows of each band run mix two runs
+    and are invalid.
+    """
+    K, C, kh, kw, kd = k5.shape
+    return _tap_gemm(rows, k5.transpose(4, 2, 3, 1, 0).reshape(kd, kh * kw * C, K))
+
+
 def _correlate(x5: np.ndarray, k5: np.ndarray) -> np.ndarray:
     """Valid cross-correlation: (P,C,h,w,d) x (K,C,kh,kw,kd) -> (P,K,h',w',d').
 
-    One tap GEMM over the spatial-window rows; the last kd - 1 rows of each
-    band run mix two runs and are dropped.
+    :func:`_correlate_runs` with the invalid rows dropped, channels first.
     """
     P, C, h, w, d = x5.shape
     K, _, kh, kw, kd = k5.shape
     hp, wp, dp = h - kh + 1, w - kw + 1, d - kd + 1
-    taps = k5.transpose(4, 2, 3, 1, 0).reshape(kd, kh * kw * C, K)
-    out = _tap_gemm(_spatial_rows(x5, kh, kw), taps).reshape(P, hp, wp, d, K)
+    out = _correlate_runs(_spatial_rows(x5, kh, kw), k5).reshape(P, hp, wp, d, K)
     return np.ascontiguousarray(out[:, :, :, :dp].transpose(0, 4, 1, 2, 3))
 
 
@@ -236,7 +253,7 @@ def _full_convolve(y5: np.ndarray, k5: np.ndarray) -> np.ndarray:
     _, C, kh, kw, kd = k5.shape
     h, w, d = hp + kh - 1, wp + kw - 1, dp + kd - 1
     taps = k5[..., ::-1].transpose(4, 0, 2, 3, 1).reshape(kd, K, kh * kw * C)
-    cols = _tap_gemm(_band_runs(y5, kd, lead=kd - 1), taps)[:P * hp * wp * d]
+    cols = _tap_gemm(_band_runs(y5, kd), taps)[:P * hp * wp * d]
     cols = cols.reshape(P, hp, wp, d, kh, kw, C)
     out = np.zeros((P, h, w, d, C))
     for i in range(kh):
@@ -245,27 +262,27 @@ def _full_convolve(y5: np.ndarray, k5: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3))
 
 
-def _kernel_adjoint(x5: np.ndarray, g5: np.ndarray, kshape: tuple[int, ...]) -> np.ndarray:
-    """d(loss)/d(kernels) for _correlate, reduced over batch and positions.
+def _kernel_adjoint(rows: np.ndarray, runs: np.ndarray, kshape: tuple[int, ...]) -> np.ndarray:
+    """d(loss)/d(kernels) of a correlation, reduced over batch and positions.
 
-    Tap l is ``rows[l:l+n].T @ g`` with g zero on the invalid rows, summed
-    chunk by chunk, and the narrower side is windowed.  With kh*kw*C <= K
-    that is the kd-row windows of the spatial rows against g.  Otherwise it
-    is the spatial rows against the kd-row windows of the adjoint runs led
-    by kd - 1 zeros, whose tap blocks come out in reverse order.
+    ``rows`` are the input's spatial-window rows (:func:`_spatial_rows`) and
+    ``runs`` the output adjoint in run layout (:func:`_band_runs`): kd - 1
+    zero rows, then one row per row of ``rows``, zero on the invalid rows.
+    Tap l is ``rows[l:l+n].T @ g`` summed chunk by chunk, and the narrower
+    side is windowed.  With kh*kw*C <= K that is the kd-row windows of the
+    spatial rows against g.  Otherwise it is the spatial rows against the
+    kd-row windows of the runs, whose tap blocks come out in reverse order.
     """
-    C = x5.shape[1]
-    K, _, kh, kw, kd = kshape
+    K, C, kh, kw, kd = kshape
     q = kh * kw * C
-    rows = _spatial_rows(x5, kh, kw)
     if q <= K:
-        g = _band_runs(g5, kd)
+        g = runs[kd - 1:]
         dk = np.zeros((kd * q, K))
         for a, windows in _tap_windows(rows, kd):
             dk += windows.T @ g[a:a + len(windows)]
         return dk.reshape(kd, kh, kw, C, K).transpose(4, 3, 1, 2, 0)
     dk = np.zeros((q, kd * K))
-    for a, windows in _tap_windows(_band_runs(g5, kd, lead=kd - 1), kd):
+    for a, windows in _tap_windows(runs, kd):
         dk += rows[a:a + len(windows)].T @ windows
     return dk.reshape(kh, kw, C, kd, K)[:, :, :, ::-1].transpose(4, 2, 0, 1, 3)
 
@@ -281,6 +298,25 @@ def _conv_operands(x: Tensor, kernels: Tensor) -> tuple[np.ndarray, np.ndarray]:
     return x.data.reshape((-1,) + x.data.shape[-4:]), kernels.data
 
 
+def _correlation_operands(x: Tensor, kernels: Tensor,
+                          bias: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_conv_operands` of a forward convolution, checked against each other and ``bias``."""
+    x5, k5 = _conv_operands(x, kernels)
+    if k5.shape[1] != x5.shape[1]:
+        raise ShapeError(
+            f"kernel channels {k5.shape[1]} do not match input channels {x5.shape[1]}")
+    if any(ke > xe for ke, xe in zip(k5.shape[2:], x5.shape[2:])):
+        raise ShapeError(f"kernel extents {k5.shape[2:]} exceed input extents {x5.shape[2:]}")
+    if bias.data.shape != (k5.shape[0],):
+        raise ShapeError(f"bias must have shape ({k5.shape[0]},), got {bias.data.shape}")
+    return x5, k5
+
+
+def _check_dropout(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
+
+
 # ---------------------------------------------------------------------------
 # differentiable primitives
 # ---------------------------------------------------------------------------
@@ -293,21 +329,17 @@ def conv3d(x, kernels, bias, tape: Tape | None = None) -> Tensor:
     the batch axis.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
-    x5, k5 = _conv_operands(x, kernels)
-    if k5.shape[1] != x5.shape[1]:
-        raise ShapeError(
-            f"kernel channels {k5.shape[1]} do not match input channels {x5.shape[1]}")
-    if any(ke > xe for ke, xe in zip(k5.shape[2:], x5.shape[2:])):
-        raise ShapeError(f"kernel extents {k5.shape[2:]} exceed input extents {x5.shape[2:]}")
-    if bias.data.shape != (k5.shape[0],):
-        raise ShapeError(f"bias must have shape ({k5.shape[0]},), got {bias.data.shape}")
+    x5, k5 = _correlation_operands(x, kernels, bias)
+    kh, kw, kd = k5.shape[2:]
 
-    out5 = _correlate(x5, k5) + bias.data[None, :, None, None, None]
+    out5 = _correlate(x5, k5)
+    out5 += bias.data[None, :, None, None, None]
 
     def backward(g):
         g5 = g.reshape(out5.shape)
         dx = _full_convolve(g5, k5).reshape(x.data.shape) if x.requires_grad else None
-        dk = _kernel_adjoint(x5, g5, k5.shape) if kernels.requires_grad else None
+        dk = (_kernel_adjoint(_spatial_rows(x5, kh, kw), _band_runs(g5, kd), k5.shape)
+              if kernels.requires_grad else None)
         db = g5.sum(axis=(0, 2, 3, 4)) if bias.requires_grad else None
         return dx, dk, db
 
@@ -328,15 +360,18 @@ def conv3d_transpose(y, kernels, bias, tape: Tape | None = None) -> Tensor:
             f"kernel count {k5.shape[0]} does not match input channels {y5.shape[1]}")
     if bias.data.shape != (k5.shape[1],):
         raise ShapeError(f"bias must have shape ({k5.shape[1]},), got {bias.data.shape}")
+    kh, kw, kd = k5.shape[2:]
 
-    out5 = _full_convolve(y5, k5) + bias.data[None, :, None, None, None]
+    out5 = _full_convolve(y5, k5)
+    out5 += bias.data[None, :, None, None, None]
 
     def backward(g):
         g5 = g.reshape(out5.shape)
         dy = _correlate(g5, k5).reshape(y.data.shape) if y.requires_grad else None
-        # same reduction as the forward-conv kernel adjoint with the roles of
-        # activation and adjoint swapped
-        dk = _kernel_adjoint(g5, y5, k5.shape) if kernels.requires_grad else None
+        # the forward-conv kernel adjoint with the roles of activation and
+        # adjoint swapped
+        dk = (_kernel_adjoint(_spatial_rows(g5, kh, kw), _band_runs(y5, kd), k5.shape)
+              if kernels.requires_grad else None)
         db = g5.sum(axis=(0, 2, 3, 4)) if bias.requires_grad else None
         return dy, dk, db
 
@@ -374,8 +409,7 @@ def dropout(x, p: float, rng: np.random.Generator | None = None,
     so a fixed seed gives a bit-identical run regardless of the dropout
     setting.
     """
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
+    _check_dropout(p)
     x = as_tensor(x)
     if rng is None:
         return x
@@ -393,6 +427,73 @@ def dropout(x, p: float, rng: np.random.Generator | None = None,
         return (dx,)
 
     return _emit(tape, out_data, (x,), backward)
+
+
+def conv3d_dropout_dense(x, kernels, bias, p: float, rng: np.random.Generator | None,
+                         dense_weights, dense_bias, tape: Tape | None = None) -> Tensor:
+    """``dense(reshape(dropout(conv3d(x, kernels, bias), p, rng), (P, -1)), dense_weights,
+    dense_bias)`` as one primitive over a (P, C, h, w, d) batch with no adjoint.
+
+    The (n, K*h'*w'*d') dense weights read the channels-first convolution
+    output.  The convolution output and its adjoint stay in the run layout
+    of :func:`_correlate_runs` instead, invalid rows included, so neither is
+    copied into another layout.  The dense weights are permuted once to that
+    layout, with zeros on the invalid rows and dropout's 1/(1-p) folded in.
+    Dropout draws its mask as :func:`dropout` does, in the channels-first
+    order, and multiplies the convolution output by it in place; without
+    ``rng`` it is an identity.  The dense input adjoint then already is the
+    zero-tailed run layout that :func:`_kernel_adjoint` reads, against the
+    spatial rows of the forward pass.
+    """
+    x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
+    weights, offset = as_tensor(dense_weights), as_tensor(dense_bias)
+    if x.requires_grad:
+        raise ParameterError("conv3d_dropout_dense gives its input no adjoint")
+    _check_dropout(p)
+    x5, k5 = _correlation_operands(x, kernels, bias)
+    P, _, h, w, d = x5.shape
+    K, _, kh, kw, kd = k5.shape
+    hp, wp, dp = h - kh + 1, w - kw + 1, d - kd + 1
+    wd, ob = weights.data, offset.data
+    if wd.ndim != 2 or wd.shape[1] != K * hp * wp * dp or ob.shape != (wd.shape[0],):
+        raise ShapeError(f"dense weights {wd.shape} and bias {ob.shape} do not match "
+                         f"the convolution output {(P, K, hp, wp, dp)}")
+    n, width = len(wd), hp * wp * d * K  # width: one item's run-layout values
+
+    keep, scale = None, 1.0
+    if rng is not None:
+        drawn = rng.random((P, K, hp, wp, dp)) >= p
+        keep = np.zeros((P, hp, wp, d, K), dtype=bool)
+        keep[:, :, :, :dp] = drawn.transpose(0, 2, 3, 4, 1)
+        keep, scale = keep.reshape(-1, K), 1.0 / (1.0 - p)
+    perm = np.zeros((n, hp, wp, d, K))
+    perm[:, :, :, :dp] = wd.reshape(n, K, hp, wp, dp).transpose(0, 2, 3, 4, 1)
+    perm = perm.reshape(n, width)
+    perm *= scale
+    rows = _spatial_rows(x5, kh, kw)
+    act = _correlate_runs(rows, k5)
+    act += bias.data
+    if keep is not None:
+        act *= keep
+    out_data = act.reshape(P, width) @ perm.T
+    out_data += ob
+
+    def backward(g):
+        dw = dk = db = None
+        if weights.requires_grad:
+            dw = (g.T @ act.reshape(P, width)).reshape(n, hp, wp, d, K)[:, :, :, :dp]
+            dw = np.multiply(dw.transpose(0, 4, 1, 2, 3), scale, order="C").reshape(n, -1)
+        if kernels.requires_grad or bias.requires_grad:
+            runs = np.empty((kd - 1 + len(act), K))
+            runs[:kd - 1] = 0.0
+            np.matmul(g, perm, out=runs[kd - 1:].reshape(P, width))
+            if keep is not None:
+                runs[kd - 1:] *= keep
+            dk = _kernel_adjoint(rows, runs, k5.shape) if kernels.requires_grad else None
+            db = runs.sum(axis=0) if bias.requires_grad else None
+        return None, dk, db, dw, g.sum(axis=0) if offset.requires_grad else None
+
+    return _emit(tape, out_data, (x, kernels, bias, weights, offset), backward)
 
 
 def reshape(x, shape: Sequence[int], tape: Tape | None = None) -> Tensor:

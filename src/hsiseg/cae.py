@@ -10,7 +10,11 @@ confident assignments while normalizing by cluster frequency.
 
 The network has no nonlinearity, so training runs it through folds, affine
 maps built over ``embedding_dim`` items: only ``enc_conv1`` and dropout run
-over the batch.  Two convolutions with nothing between them are one convolution
+over the batch.  They and the encoder fold's dense map are one autodiff op,
+:func:`~hsiseg.autodiff.conv3d_dropout_dense`, which keeps the batch's
+activation and its adjoint in the convolution's row layout, one row of
+kernel outputs per (pixel, band), with no channels-first copy.  Two
+convolutions with nothing between them are one convolution
 by their composite kernel, the transposed convolution of the second layer's
 kernels by the first's, so the decoder's two transposed convolutions run as
 one.  Dropout is an identity at inference, so :func:`encoder_map` folds the
@@ -198,15 +202,17 @@ def encode_batch(params: CaeParams, patches, rng: np.random.Generator | None = N
 
     Passing ``rng`` trains: the dropout layer draws its mask from it.
     Without it the encoder runs in inference mode and dropout is an identity.
-    Only ``enc_conv1`` and dropout run over the batch; the layers after them are one fold.
+    Only ``enc_conv1`` and dropout run over the batch, and the layers after
+    them are one fold: the three are one
+    :func:`~hsiseg.autodiff.conv3d_dropout_dense`, whose activation and
+    adjoint stay in the convolution's row layout.
     """
     x = ad.as_tensor(patches).data
     _check_patch_shape(params.config, x)
     w = params.weights
-    h = ad.conv3d(Tensor(x[:, None]), w["enc_conv1_w"], w["enc_conv1_b"], tape)
-    h = ad.dropout(h, params.config.dropout_p, rng, tape)
     weights, bias = _encoder_fold(params, tape)
-    return ad.dense(ad.reshape(h, (len(x), weights.data.shape[1]), tape), weights, bias, tape)
+    return ad.conv3d_dropout_dense(x[:, None], w["enc_conv1_w"], w["enc_conv1_b"],
+                                   params.config.dropout_p, rng, weights, bias, tape)
 
 
 def encoder_map(params: CaeParams) -> tuple[np.ndarray, np.ndarray]:

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hsiseg import autodiff
-from hsiseg.autodiff import (Tape, Tensor, add, conv3d, conv3d_transpose,
-                             dense, dropout, grad_check, kl_divergence, mul,
-                             pairwise_sqdist, reshape, scale, student_t_rows,
-                             sub, sum_all)
+from hsiseg.autodiff import (Tape, Tensor, add, conv3d, conv3d_dropout_dense,
+                             conv3d_transpose, dense, dropout, grad_check,
+                             kl_divergence, mul, pairwise_sqdist, reshape, scale,
+                             student_t_rows, sub, sum_all)
 from hsiseg.errors import ParameterError, ShapeError
 
 
@@ -289,6 +289,51 @@ class TestComposedKernels:
         assert grad_check(f, [inner, outer]) <= 1e-4
 
 
+class TestConvDropoutDense:
+    """The batch-layer primitive equals conv3d, dropout and dense run one by
+    one with the same draw: output and every adjoint."""
+
+    @staticmethod
+    def composed(x, kernels, bias, p, rng, weights, offset, tape):
+        h = dropout(conv3d(x, kernels, bias, tape), p, rng, tape)
+        return dense(reshape(h, (len(x.data), -1), tape), weights, offset, tape)
+
+    # dropout 1/(1-p) is a power of two at p = 0.5 only; seed None is inference
+    @pytest.mark.parametrize("p,seed", [(0.5, 5), (0.3, 6), (0.0, 7), (0.5, None)])
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_matches_composed_ops(self, case, p, seed):
+        P, C, K, extents, kext = case
+        rng = np.random.default_rng(sum(extents) + 2)
+        flat = K * int(np.prod([e - k + 1 for e, k in zip(extents, kext)]))
+        x = rng.normal(size=(P, C) + extents)
+        params = [rng.normal(size=shape) for shape in
+                  ((K, C) + kext, (K,), (3, flat), (3,))]
+        upstream = rng.normal(size=(P, 3))
+        results = []
+        for op in (self.composed, conv3d_dropout_dense):
+            tensors = [Tensor(a, requires_grad=True) for a in params]
+            tape = Tape()
+            draw = None if seed is None else np.random.default_rng(seed)
+            out = op(x, *tensors[:2], p, draw, *tensors[2:], tape)
+            tape.backward(sum_all(mul(out, Tensor(upstream), tape), tape))
+            results.append([out.data] + [t.grad for t in tensors])
+        for actual, expected in zip(results[1], results[0]):
+            assert_close_to_reference(actual, expected)
+
+    def test_input_adjoint_rejected(self):
+        x = Tensor(np.ones((1, 1, 3, 3, 4)), requires_grad=True)
+        with pytest.raises(ParameterError):
+            conv3d_dropout_dense(x, np.ones((2, 1, 3, 3, 2)), np.zeros(2), 0.5, None,
+                                 np.ones((1, 6)), np.zeros(1), Tape())
+
+    def test_invalid_arguments(self):
+        x, k, b = np.ones((1, 1, 3, 3, 4)), np.ones((2, 1, 3, 3, 2)), np.zeros(2)
+        with pytest.raises(ParameterError):
+            conv3d_dropout_dense(x, k, b, 1.0, None, np.ones((1, 6)), np.zeros(1))
+        with pytest.raises(ShapeError):  # the output has 2*1*1*3 = 6 values
+            conv3d_dropout_dense(x, k, b, 0.5, None, np.ones((1, 8)), np.zeros(1))
+
+
 class TestDense:
     def test_identity_weights(self):
         x = np.arange(4.0)[None]
@@ -518,6 +563,17 @@ class TestPrimitiveGradients:
             return sum_all(mul(out, out, tape), tape)
 
         assert grad_check(f, x) <= 1e-4
+
+    def test_conv3d_dropout_dense_frozen_mask(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 1, 3, 3, 5))
+        k = Tensor(rng.normal(size=(3, 1, 2, 2, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3 * 2 * 2 * 4)), requires_grad=True)
+        c = Tensor(rng.normal(size=2), requires_grad=True)
+        f = _quadratic_through(lambda tape: conv3d_dropout_dense(
+            x, k, b, 0.3, np.random.default_rng(98), w, c, tape), None)
+        assert grad_check(f, [k, b, w, c]) <= 1e-4
 
     def test_pairwise_sqdist(self):
         rng = np.random.default_rng(14)

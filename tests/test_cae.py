@@ -196,15 +196,21 @@ class TestEncodeDecode:
         conv = factored_encode(params, patches).data
         assert np.abs(folded - conv).max() <= 1e-12 * np.abs(conv).max()
 
+    # dropout's 1/(1-p) is a power of two only at the default p = 0.5, and
+    # p = 0 still draws a mask
     @pytest.mark.parametrize("config,batch", [(config, 256 if name == "paper" else 16)
                                               for name, config in GEOMETRIES.items()]
-                             + [(desk_config(), 4)],
-                             ids=[*GEOMETRIES, "batch-below-embedding-dim"])
+                             + [(desk_config(), 4),
+                                (desk_config(dropout_p=0.3), 16),
+                                (desk_config(dropout_p=0.0), 16),
+                                (CaeConfig(bands=103, dropout_p=0.3), 64)],
+                             ids=[*GEOMETRIES, "batch-below-embedding-dim",
+                                  "p0.3", "p0", "paper-p0.3"])
     def test_training_step_matches_factored_step(self, config, batch):
         """encode_batch and decode_batch train through folds of the layers.
         One step's loss and every weight's gradient, dropout on, equal those
         of the layers run one by one with the same draw.  A nonlinearity
-        between layers breaks this."""
+        between layers, or a dropout scale folded in wrongly, breaks this."""
         params = build_cae(config, np.random.default_rng(28))
         perturb_biases(params, 29)
         s = config.patch_spatial
@@ -243,9 +249,22 @@ class TestEncodeDecode:
 class TestPaperShapeMemory:
     """At paper shape the inference map and a decoder step run their
     embedding_dim rows through one composite kernel, not through two layers,
-    and allocate about that arithmetic: no (n, K*3*3*d1) intermediate."""
+    and allocate about that arithmetic: no (n, K*3*3*d1) intermediate.  A
+    training step keeps the batch's enc_conv1 activation and its adjoint in
+    one layout each: no channels-first copy of either and no dropout output."""
 
     CONFIG = CaeConfig(bands=103, clusters=9)
+
+    def test_training_step(self):
+        params = build_cae(self.CONFIG, np.random.default_rng(43))
+        patches = np.random.default_rng(44).random((256, 5, 5, self.CONFIG.bands))
+
+        def step():
+            tape = Tape()
+            z = encode_batch(params, patches, np.random.default_rng(45), tape)
+            tape.backward(reconstruction_loss(patches, decode_batch(params, z, tape), tape))
+
+        assert traced_peak(step) < 230e6  # bytes
 
     def test_encoder_map(self):
         params = build_cae(self.CONFIG, np.random.default_rng(40))

@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import zipfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +333,49 @@ class TestTrainSegment:
         a, b = outs
         assert (a / "checkpoint.zip").read_bytes() == (b / "checkpoint.zip").read_bytes()
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+# runs each command line of a JSON list through the CLI, stopping at the first failure
+PIPELINE = """
+import json, sys
+from hsiseg.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+class TestBlasThreads:
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        """synth, train and segment on the CLI scene write the same bytes at
+        one and two BLAS threads.  OpenBLAS reads its thread count when numpy
+        loads, so each count runs in a process of its own.  One batch holds
+        all 100 patches: batches of 32 are too small for OpenBLAS to thread
+        their sums, so a sum moved into a threaded product would not show."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        artifacts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            out.mkdir()
+            config = write_config(out, batch_size=100)
+            commands = [
+                ["synth", "--out", out / "scene", "--width", "10", "--height", "10",
+                 "--bands", "8", "--classes", "3", "--seed", "3", "--noise", "0.03",
+                 "--layout", "stripes"],
+                ["train", "--config", config, "--cube", out / "scene" / "cube.hsic",
+                 "--truth", out / "scene" / "truth.gt", "--out-dir", out / "run"],
+                ["segment", "--checkpoint", out / "run" / "checkpoint.zip",
+                 "--cube", out / "scene" / "cube.hsic", "--out", out / "map.gt"]]
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run(
+                [sys.executable, "-c", PIPELINE,
+                 json.dumps([[str(a) for a in argv] for argv in commands])],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert done.returncode == 0, done.stderr[-2000:]
+            artifacts.append([(out / name).read_bytes() for name in
+                              ("map.gt", "run/report.json", "run/checkpoint.zip")])
+        assert artifacts[0] == artifacts[1]
 
 
 # every key a --config file may set, with its default
