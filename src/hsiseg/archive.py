@@ -64,7 +64,12 @@ def load_archive(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             if not isinstance(meta, dict) or not isinstance(manifest, list):
                 raise FormatError(f"{path}: meta.json must hold a JSON object and "
                                   "manifest.json a list")
-            arrays = dict(_payload_array(path, zf, entry) for entry in manifest)
+            arrays = {}
+            for entry in manifest:
+                name, array = _payload_array(path, zf, entry)
+                if name in arrays:
+                    raise FormatError(f"{path}: manifest names tensor {name!r} twice")
+                arrays[name] = array
     except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path} is not a readable model archive: {exc}") from exc
     return meta, arrays

@@ -90,19 +90,42 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _load_scene(cube_path: str, truth_path: str | None) -> HsiCube:
-    cube = load_cube(cube_path)
-    if truth_path is None:
-        return cube
-    return HsiCube(cube.values, load_labels(truth_path), cube.wavelengths)
-
-
-def _apply_reduction(cube: HsiCube, method: str, dims: int) -> HsiCube:
+def _preprocess(cube: HsiCube, method: str, dims: int, *, normalized: bool) -> HsiCube:
+    """Min-max normalize ``cube`` when asked, then apply reduction ``method``
+    down to ``dims`` bands ("none" and "external" keep the bands as they are)."""
+    if normalized:
+        cube = normalize(cube)
     if method == "pca":
         return reduction.pca_reduce(cube, dims)
     if method == "smsi":
         return reduction.smsi_reduce(cube, dims)
-    return cube  # "none" and "external" (features already reduced)
+    return cube
+
+
+def _load_npy(path: str | None) -> np.ndarray | None:
+    """The array in the ``.npy`` file ``path``, or None when no path is given."""
+    if not path:
+        return None
+    with open(path, "rb") as file:
+        try:  # read_array reads .npy alone: no pickles, no .npz archives
+            return np.lib.format.read_array(file)
+        except ValueError as exc:
+            raise FormatError(f"{path} is not a readable .npy array: {exc}") from exc
+
+
+def _start_run(args) -> tuple[RunConfig, Path, HsiCube, float]:
+    """(config, output directory, preprocessed cube, preprocessing seconds) of a
+    ``train`` or ``baseline`` run; the config is checked before the disk is touched."""
+    config = RunConfig.load(args.config, {
+        key: getattr(args, key, None) for key in ("seed", "clusters", "alpha", "reduction")})
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cube = load_cube(args.cube)
+    if args.truth is not None:
+        cube = HsiCube(cube.values, load_labels(args.truth), cube.wavelengths)
+    t0 = time.perf_counter()
+    cube = _preprocess(cube, config.reduction, config.arch["embedding_dim"], normalized=True)
+    return config, out, cube, time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +152,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    cube = HsiCube(np.load(args.values),
-                   np.load(args.labels) if args.labels else None,
-                   np.load(args.wavelengths) if args.wavelengths else None)
+    cube = HsiCube(_load_npy(args.values), _load_npy(args.labels),
+                   _load_npy(args.wavelengths))
     write_cube(cube, args.out)
     if cube.labels is not None:
         write_labels(cube.labels, args.out_truth or Path(args.out).with_suffix(".gt"))
@@ -139,27 +161,15 @@ def cmd_convert(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    write_cube(_apply_reduction(load_cube(args.cube), args.method, args.dims), args.out)
+    cube = _preprocess(load_cube(args.cube), args.method, args.dims, normalized=False)
+    write_cube(cube, args.out)
     return 0
 
 
 def cmd_train(args) -> int:
-    config = RunConfig.load(args.config, {
-        "seed": args.seed, "clusters": args.clusters, "alpha": args.alpha,
-        "reduction": args.reduction,
-    })
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    cube = _load_scene(args.cube, args.truth)
-    t0 = time.perf_counter()
-    cube = normalize(cube)
-    cube = _apply_reduction(cube, config.reduction, config.arch["embedding_dim"])
-    reduction_sec = time.perf_counter() - t0
-
+    config, out, cube, reduction_sec = _start_run(args)
     arch = cae.CaeConfig(bands=cube.bands, **config.arch)
     params, report = train.run_training(cube, arch, config.schedule, config.seed)
-
     flat = config.to_dict()
     cae.save_checkpoint(params, out / "checkpoint.zip",
                         extra_meta={"pipeline": {"reduction": config.reduction,
@@ -196,19 +206,13 @@ def _checkpoint_pipeline(meta: dict, path: str) -> tuple[bool, str]:
     return normalized, reduction_name
 
 
-def _segment_with_checkpoint(checkpoint_path: str, cube: HsiCube):
-    params, meta = cae.load_checkpoint(checkpoint_path)
-    normalized, reduction_name = _checkpoint_pipeline(meta, checkpoint_path)
-    if normalized:
-        cube = normalize(cube)
-    cube = _apply_reduction(cube, reduction_name, params.config.embedding_dim)
-    return train.segment(params, cube), meta
-
-
 def cmd_segment(args) -> int:
     cube = load_cube(args.cube)
     t0 = time.perf_counter()
-    segmap, meta = _segment_with_checkpoint(args.checkpoint, cube)
+    params, meta = cae.load_checkpoint(args.checkpoint)
+    normalized, reduction_name = _checkpoint_pipeline(meta, args.checkpoint)
+    work = _preprocess(cube, reduction_name, params.config.embedding_dim, normalized=normalized)
+    segmap = train.segment(params, work)
     inference_sec = time.perf_counter() - t0
     write_labels(segmap.labels, args.out)
     if args.ppm:
@@ -221,40 +225,22 @@ def cmd_segment(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    config = RunConfig.load(args.config, {
-        "seed": args.seed, "clusters": args.clusters,
-        "reduction": args.reduction,
-    })
-    clusters = config.arch["clusters"]
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    cube = _load_scene(args.cube, args.truth)
-    t0 = time.perf_counter()
-    work = normalize(cube)
-    work = _apply_reduction(work, config.reduction, config.arch["embedding_dim"])
-    reduction_sec = time.perf_counter() - t0
-
-    points = work.pixel_matrix()
+    config, out, cube, reduction_sec = _start_run(args)
+    fit = clustering.kmeans if args.method == "kmeans" else clustering.gmm_em
+    points = cube.pixel_matrix()
     flat_config = {**config.to_dict(), "method": args.method}
-    t1 = time.perf_counter()
-    if args.method == "kmeans":
-        model, flat = clustering.kmeans(points, clusters, seed=config.seed)
-        meta = {"format": "hsiseg-kmeans", "inertia": model.inertia,
-                "iterations": model.iterations, "config": flat_config}
-        arrays = [("centers", model.centers)]
-    else:
-        model, flat = clustering.gmm_em(points, clusters, seed=config.seed)
-        meta = {"format": "hsiseg-gmm",
-                "log_likelihood_trace": model.log_likelihood_trace,
-                "config": flat_config}
-        arrays = [("weights", model.weights), ("means", model.means),
-                  ("covariances", model.covariances)]
-    cluster_sec = time.perf_counter() - t1
+    t0 = time.perf_counter()
+    model, flat = fit(points, config.arch["clusters"], seed=config.seed)
+    cluster_sec = time.perf_counter() - t0
 
     labels = flat.reshape(cube.height, cube.width) + 1
     write_labels(labels, out / "map.gt")
-    save_archive(out / "model.zip", meta, arrays)
+    # the model's array fields are its tensors, its other fields go to meta.json
+    fitted = vars(model)
+    save_archive(out / "model.zip",
+                 {"format": f"hsiseg-{args.method}", "config": flat_config,
+                  **{k: v for k, v in fitted.items() if not isinstance(v, np.ndarray)}},
+                 [(k, v) for k, v in fitted.items() if isinstance(v, np.ndarray)])
     if cube.labels is not None:
         scores = metrics.evaluate_labelings(labels, cube.labels)
         _write_json(out / "metrics.json", {"config": flat_config, **scores})
@@ -291,6 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Unsupervised hyperspectral image segmentation")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    run_flags = argparse.ArgumentParser(add_help=False)  # what train and baseline share
+    run_flags.add_argument("--config", help="JSON run configuration")
+    run_flags.add_argument("--cube", required=True)
+    run_flags.add_argument("--truth", help="ground truth: train skips its background, "
+                                           "baseline scores its map against it")
+    run_flags.add_argument("--out-dir", required=True)
+    run_flags.add_argument("--seed", type=int)
+    run_flags.add_argument("--clusters", type=int)
+    run_flags.add_argument("--reduction", choices=REDUCTIONS)
+
     p = sub.add_parser("synth", help="generate a labeled synthetic scene")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--width", type=int, default=32)
@@ -317,15 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("train", help="two-stage training of the autoencoder")
-    p.add_argument("--config", help="JSON run configuration")
-    p.add_argument("--cube", required=True)
-    p.add_argument("--truth", help="ground truth; excludes background from training")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--clusters", type=int)
+    p = sub.add_parser("train", parents=[run_flags],
+                       help="two-stage training of the autoencoder")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--reduction", choices=REDUCTIONS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("segment", help="label every pixel with a trained model")
@@ -335,15 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppm", help="also write a color visualization")
     p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("baseline", help="classical clustering over pixel spectra")
+    p = sub.add_parser("baseline", parents=[run_flags],
+                       help="classical clustering over pixel spectra")
     p.add_argument("--method", choices=("kmeans", "gmm"), required=True)
-    p.add_argument("--config", help="JSON run configuration")
-    p.add_argument("--cube", required=True)
-    p.add_argument("--truth")
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--reduction", choices=REDUCTIONS)
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("evaluate", help="score a segmentation map against ground truth")

@@ -40,6 +40,21 @@ def test_missing_entries_rejected(tmp_path):
         load_archive(tmp_path / "partial.zip")
 
 
+def test_tensor_named_twice_rejected(tmp_path):
+    """A manifest that lists one tensor name twice is rejected, not resolved
+    in favour of either entry."""
+    import zipfile
+    manifest = [{"name": "x", "shape": [2], "dtype": "<f8", "file": f"tensors/{file}.bin"}
+                for file in ("a", "b")]
+    with zipfile.ZipFile(tmp_path / "twice.zip", "w") as zf:
+        zf.writestr("meta.json", "{}")
+        zf.writestr("manifest.json", json.dumps(manifest))
+        zf.writestr("tensors/a.bin", np.zeros(2).astype("<f8").tobytes())
+        zf.writestr("tensors/b.bin", np.ones(2).astype("<f8").tobytes())
+    with pytest.raises(FormatError, match="twice"):
+        load_archive(tmp_path / "twice.zip")
+
+
 def _rewrite(src, dst, name, transform):
     """Copy the archive ``src`` to ``dst`` with entry ``name`` passed through ``transform``."""
     import zipfile

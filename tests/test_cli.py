@@ -14,7 +14,7 @@ import pytest
 from hsiseg.archive import load_archive, save_archive
 from hsiseg.autodiff import Tensor
 from hsiseg.cae import CaeConfig, build_cae, save_checkpoint
-from hsiseg.cli import RunConfig, main
+from hsiseg.cli import RunConfig, build_parser, main
 from hsiseg.cube import load_cube, load_labels, write_cube, write_labels
 from hsiseg.errors import ParameterError
 from hsiseg.synth import generate_cube
@@ -95,6 +95,35 @@ class TestSynthAndConvert:
         np.save(tmp_path / "flat.npy", np.zeros((4, 4)))
         assert run("convert", "--values", tmp_path / "flat.npy",
                    "--out", tmp_path / "cube.hsic") == 1
+
+    @pytest.mark.parametrize("flag", ["--values", "--labels", "--wavelengths"])
+    @pytest.mark.parametrize("damage", ["empty", "truncated-header", "short-payload",
+                                        "text", "object-array", "npz-archive"])
+    def test_convert_unreadable_npy_is_format_error(self, tmp_path, capsys, flag, damage):
+        """A file that is not a readable .npy array is a format error (exit 2)
+        naming the file, and nothing is written."""
+        good = {"--values": np.ones((6, 5, 7)), "--labels": np.ones((6, 5), dtype=int),
+                "--wavelengths": np.arange(7.0)}
+        paths = {}
+        for name, array in good.items():
+            paths[name] = tmp_path / f"{name[2:]}.npy"
+            np.save(paths[name], array)
+        bad = paths[flag]
+        payload = bad.read_bytes()
+        if damage == "object-array":
+            np.save(bad, np.array([1, "a"], dtype=object), allow_pickle=True)
+        elif damage == "npz-archive":
+            with open(bad, "wb") as file:
+                np.savez(file, array=good[flag])
+        else:
+            bad.write_bytes({"empty": b"", "truncated-header": payload[:20],
+                             "short-payload": payload[:-8],
+                             "text": b"1 2 3\n4 5 6\n"}[damage])
+        (tmp_path / "out").mkdir()
+        argv = [a for name, path in paths.items() for a in (name, path)]
+        assert run("convert", *argv, "--out", tmp_path / "out" / "cube.hsic") == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
 
 
 class TestReduce:
@@ -241,6 +270,24 @@ class TestTrainSegment:
                 zout.writestr(info, content if info.filename == entry else zin.read(info))
         assert run("segment", "--checkpoint", tmp_path / "bad.zip",
                    "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "bad.gt") == 2
+
+    def test_checkpoint_naming_a_tensor_twice_is_format_error(self, scene_dir, tmp_path):
+        """A manifest that lists one tensor twice is an I/O/format error (exit 2):
+        neither entry silently wins."""
+        save_segmenter(tmp_path / "good.zip")
+        with zipfile.ZipFile(tmp_path / "good.zip") as zin, \
+                zipfile.ZipFile(tmp_path / "bad.zip", "w") as zout:
+            for info in zin.infolist():
+                payload = zin.read(info)
+                if info.filename == "manifest.json":
+                    manifest = json.loads(payload)
+                    payload = json.dumps(manifest + manifest[:1]).encode()
+                zout.writestr(info, payload)
+        assert run("segment", "--checkpoint", tmp_path / "good.zip",
+                   "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "good.gt") == 0
+        assert run("segment", "--checkpoint", tmp_path / "bad.zip",
+                   "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "bad.gt") == 2
+        assert not (tmp_path / "bad.gt").exists()
 
     @pytest.mark.parametrize("pipeline", [[1],
                                           {"reduction": "bogus", "normalized": True},
@@ -504,6 +551,26 @@ class TestBaseline:
         assert meta["format"] == "hsiseg-gmm"
         assert set(arrays) == {"weights", "means", "covariances"}
 
+    @pytest.mark.parametrize("method, fmt, meta_keys, tensors", [
+        ("kmeans", "hsiseg-kmeans", {"format", "config", "inertia", "iterations"},
+         ["centers"]),
+        ("gmm", "hsiseg-gmm", {"format", "config", "log_likelihood_trace"},
+         ["weights", "means", "covariances"])])
+    def test_model_archive_layout(self, scene_dir, tmp_path, method, fmt, meta_keys,
+                                  tensors):
+        """model.zip holds the fitted model: its arrays as tensors in field
+        order, its other fields plus the format and run config in meta.json."""
+        out = tmp_path / method
+        assert run("baseline", "--method", method, "--cube", scene_dir / "cube.hsic",
+                   "--clusters", "3", "--seed", "1", "--out-dir", out) == 0
+        with zipfile.ZipFile(out / "model.zip") as zf:
+            meta = json.loads(zf.read("meta.json"))
+            manifest = json.loads(zf.read("manifest.json"))
+        assert meta["format"] == fmt
+        assert set(meta) == meta_keys
+        assert meta["config"]["method"] == method
+        assert [entry["name"] for entry in manifest] == tensors
+
     @pytest.mark.parametrize("content", ["[1, 2]", '{"batch_size": "8"}',
                                          '{"clusters": "3"}', '{"seed": true}'])
     def test_malformed_config_is_contract_error(self, scene_dir, tmp_path, content):
@@ -538,6 +605,28 @@ class TestBaseline:
                    "--reduction", "smsi", "--seed", "0", "--out-dir", out) == 0
         scores = json.loads((out / "metrics.json").read_text())
         assert scores["n"] == 64
+
+
+class TestRunFlags:
+    @pytest.mark.parametrize("command, own", [("train", ["--alpha", "0.5"]),
+                                              ("baseline", ["--method", "gmm"])])
+    def test_train_and_baseline_share_seven_flags(self, command, own):
+        args = build_parser().parse_args([
+            command, *own, "--config", "run.json", "--cube", "scene.hsic",
+            "--truth", "truth.gt", "--out-dir", "out", "--seed", "4",
+            "--clusters", "5", "--reduction", "pca"])
+        assert (args.config, args.cube, args.truth, args.out_dir, args.seed,
+                args.clusters, args.reduction) == ("run.json", "scene.hsic", "truth.gt",
+                                                   "out", 4, 5, "pca")
+
+    @pytest.mark.parametrize("argv", [["baseline", "--method", "kmeans", "--alpha", "0.1"],
+                                      ["train", "--method", "kmeans"]],
+                             ids=["baseline-alpha", "train-method"])
+    def test_flag_of_the_other_command_is_usage_error(self, scene_dir, tmp_path, argv):
+        """--alpha is train's alone and --method baseline's alone."""
+        assert run(*argv, "--cube", scene_dir / "cube.hsic",
+                   "--out-dir", tmp_path / "x") == 1
+        assert not (tmp_path / "x").exists()
 
 
 class TestEvaluate:
