@@ -3,7 +3,9 @@ covariance Gaussian mixture fitted by expectation-maximization.
 
 Both are deterministic given (points, k, seed).  The mixture is initialized
 from the k-means solution and its E-step works in the log domain so that
-well-separated components do not underflow.
+well-separated components do not underflow.  Each EM iteration factors every
+covariance once and evaluates all densities through GEMMs against the
+inverse Cholesky factors.
 """
 
 from __future__ import annotations
@@ -35,6 +37,17 @@ class GmmModel:
 
 def _as_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
+def _point_matrix(points) -> np.ndarray:
+    """The points as a float (n, d) matrix, d >= 1, of finite values."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] == 0:
+        raise ParameterError(f"points must be an (n, d) matrix with d >= 1, "
+                             f"got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ParameterError("points hold a NaN or infinite value")
+    return points
 
 
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -70,9 +83,7 @@ def kmeans(points, k: int, seed=0, tol: float = 1e-6,
     currently farthest from its assigned center, which keeps every cluster
     non-empty in the returned model.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ParameterError(f"points must be an (n, d) matrix, got shape {points.shape}")
+    points = _point_matrix(points)
     if k < 1:
         raise ParameterError(f"cluster count must be positive, got {k}")
     if len(points) < k:
@@ -104,22 +115,30 @@ def kmeans(points, k: int, seed=0, tol: float = 1e-6,
 
 
 def _log_gaussians(points: np.ndarray, means: np.ndarray,
-                   covariances: np.ndarray) -> np.ndarray:
-    """Per-component log densities, (n, k), via Cholesky factors."""
+                   covariances: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-component log densities, (n, k), and sum_j tr(Sigma_j^-1).
+
+    Each Sigma_j = L_j L_j^T is factored once; its whitening factor
+    W_j = L_j^-1 gives the Mahalanobis distance as ||W_j x - W_j mu_j||^2,
+    one (n, d) GEMM per component, and tr(Sigma_j^-1) as ||W_j||_F^2.
+    """
     n, d = points.shape
     out = np.empty((n, len(means)))
+    inv_trace = 0.0
     for j, (mu, cov) in enumerate(zip(means, covariances)):
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"covariance of component {j} is singular despite its prior") from exc
-        diff = points - mu
-        z = np.linalg.solve(chol, diff.T)
-        maha = (z * z).sum(axis=0)
+        whiten = np.linalg.inv(chol)
+        z = points @ whiten.T
+        z -= whiten @ mu
+        maha = np.einsum("ij,ij->i", z, z)
         logdet = 2.0 * np.log(np.diag(chol)).sum()
         out[:, j] = -0.5 * (d * _LOG_2PI + logdet + maha)
-    return out
+        inv_trace += np.einsum("ij,ij->", whiten, whiten)
+    return out, inv_trace
 
 
 def gmm_em(points, k: int, seed=0, tol: float = 1e-6,
@@ -136,9 +155,7 @@ def gmm_em(points, k: int, seed=0, tol: float = 1e-6,
     rounding.  Iteration stops once it improves by less than tol.  Labels
     are the argmax responsibilities.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ParameterError(f"points must be an (n, d) matrix, got shape {points.shape}")
+    points = _point_matrix(points)
     if k < 1:
         raise ParameterError(f"component count must be positive, got {k}")
     n, d = points.shape
@@ -163,13 +180,12 @@ def gmm_em(points, k: int, seed=0, tol: float = 1e-6,
     resp = np.zeros((n, k))
     for _ in range(max_iter):
         # E-step in the log domain
-        log_prob = _log_gaussians(points, means, covariances)
+        log_prob, inv_trace = _log_gaussians(points, means, covariances)
         log_prob += np.log(np.maximum(weights, 1e-300))
         top = log_prob.max(axis=1, keepdims=True)
         norm = top + np.log(np.exp(log_prob - top).sum(axis=1, keepdims=True))
         resp = np.exp(log_prob - norm)
-        penalty = 0.5 * _RIDGE * n * np.trace(np.linalg.inv(covariances), axis1=1, axis2=2)
-        objective = float(norm.sum() - penalty.sum())
+        objective = float(norm.sum() - 0.5 * _RIDGE * n * inv_trace)
         trace.append(objective)
         if len(trace) > 1 and objective - trace[-2] < tol:
             break
@@ -179,8 +195,10 @@ def gmm_em(points, k: int, seed=0, tol: float = 1e-6,
         weights = mass / n
         means = (resp.T @ points) / mass[:, None]
         for j in range(k):
-            diff = points - means[j]
-            covariances[j] = ((resp[:, j][:, None] * diff).T @ diff + prior) / mass[j]
+            # a.T @ a runs as a symmetric rank-k update: exactly symmetric
+            a = points - means[j]
+            a *= np.sqrt(resp[:, j])[:, None]
+            covariances[j] = (a.T @ a + prior) / mass[j]
 
     labels = resp.argmax(axis=1)
     model = GmmModel(weights=weights, means=means, covariances=covariances,

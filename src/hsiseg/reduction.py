@@ -33,6 +33,8 @@ def pca_fit(pixels, dims: int = 25) -> PcaModel:
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.ndim != 2:
         raise ParameterError(f"pixels must form an (n, bands) matrix, got {pixels.shape}")
+    if not np.isfinite(pixels).all():
+        raise ParameterError("pixels hold a NaN or infinite value")
     n, bands = pixels.shape
     if dims < 1 or dims > bands:
         raise ParameterError(f"cannot extract {dims} components from {bands} bands")

@@ -392,20 +392,35 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def artifacts_at_blas_threads(tmp_path, commands, names):
+    """Run the CLI ``commands(out)`` at one and then two OpenBLAS threads,
+    each count in a process of its own (OpenBLAS reads it when numpy loads),
+    and return the bytes of the files ``names`` under each run's ``out``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", PIPELINE,
+             json.dumps([[str(a) for a in argv] for argv in commands(out)])],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr[-2000:]
+        artifacts.append([(out / name).read_bytes() for name in names])
+    return artifacts
+
+
 class TestBlasThreads:
     def test_artifacts_independent_of_blas_threads(self, tmp_path):
         """synth, train and segment on the CLI scene write the same bytes at
-        one and two BLAS threads.  OpenBLAS reads its thread count when numpy
-        loads, so each count runs in a process of its own.  One batch holds
-        all 100 patches: batches of 32 are too small for OpenBLAS to thread
-        their sums, so a sum moved into a threaded product would not show."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        artifacts = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads-{threads}"
-            out.mkdir()
+        one and two BLAS threads.  One batch holds all 100 patches: batches
+        of 32 are too small for OpenBLAS to thread their sums, so a sum moved
+        into a threaded product would not show."""
+        def commands(out):
             config = write_config(out, batch_size=100)
-            commands = [
+            return [
                 ["synth", "--out", out / "scene", "--width", "10", "--height", "10",
                  "--bands", "8", "--classes", "3", "--seed", "3", "--noise", "0.03",
                  "--layout", "stripes"],
@@ -413,15 +428,25 @@ class TestBlasThreads:
                  "--truth", out / "scene" / "truth.gt", "--out-dir", out / "run"],
                 ["segment", "--checkpoint", out / "run" / "checkpoint.zip",
                  "--cube", out / "scene" / "cube.hsic", "--out", out / "map.gt"]]
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            done = subprocess.run(
-                [sys.executable, "-c", PIPELINE,
-                 json.dumps([[str(a) for a in argv] for argv in commands])],
-                env=env, capture_output=True, text=True, timeout=600)
-            assert done.returncode == 0, done.stderr[-2000:]
-            artifacts.append([(out / name).read_bytes() for name in
-                              ("map.gt", "run/report.json", "run/checkpoint.zip")])
+        artifacts = artifacts_at_blas_threads(
+            tmp_path, commands, ("map.gt", "run/report.json", "run/checkpoint.zip"))
+        assert artifacts[0] == artifacts[1]
+
+    def test_gmm_baseline_independent_of_blas_threads(self, tmp_path):
+        """The S-MSI GMM baseline writes the same bytes at one and two BLAS
+        threads.  At 2304 points each component's E-step and M-step products
+        exceed 10^6 multiply-adds, so OpenBLAS threads them.  (Under PCA the
+        covariance product inside pca_fit is thread-dependent; see README.)"""
+        def commands(out):
+            return [
+                ["synth", "--out", out / "scene", "--width", "48", "--height", "48",
+                 "--bands", "30", "--classes", "4", "--seed", "3", "--noise", "0.3",
+                 "--layout", "voronoi"],
+                ["baseline", "--method", "gmm", "--reduction", "smsi", "--clusters", "4",
+                 "--seed", "0", "--cube", out / "scene" / "cube.hsic",
+                 "--truth", out / "scene" / "truth.gt", "--out-dir", out / "run"]]
+        artifacts = artifacts_at_blas_threads(
+            tmp_path, commands, ("run/model.zip", "run/map.gt", "run/metrics.json"))
         assert artifacts[0] == artifacts[1]
 
 

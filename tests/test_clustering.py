@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from hsiseg.clustering import _RIDGE, gmm_em, kmeans
+from hsiseg.clustering import _RIDGE, _log_gaussians, gmm_em, kmeans
 from hsiseg.cube import normalize
-from hsiseg.errors import InsufficientDataError
+from hsiseg.errors import InsufficientDataError, NumericalError, ParameterError
 from hsiseg.metrics import ars, contingency, pair_counts
-from hsiseg.reduction import pca_reduce
+from hsiseg.reduction import pca_reduce, smsi_reduce
 from hsiseg.synth import generate_cube
 
 
@@ -105,8 +105,7 @@ class TestGmm:
         points, _ = two_blobs(rng, n_per=60)
         model, _ = gmm_em(points, 2, seed=0)
         # re-derive responsibilities from the fitted model
-        from hsiseg.clustering import _log_gaussians
-        log_prob = _log_gaussians(points, model.means, model.covariances)
+        log_prob, _ = _log_gaussians(points, model.means, model.covariances)
         log_prob += np.log(model.weights)
         top = log_prob.max(axis=1, keepdims=True)
         resp = np.exp(log_prob - top)
@@ -163,6 +162,16 @@ class TestGmm:
             np.testing.assert_allclose(cov, cov.T, atol=1e-12)
             assert np.linalg.eigvalsh(cov).min() > 0
 
+    def test_covariances_exactly_symmetric_on_baseline_scene(self):
+        """The benchmark's full-size S-MSI scene: each scatter is one
+        symmetric rank-k update, so every fitted covariance equals its
+        transpose bit for bit."""
+        cube = normalize(generate_cube(64, 64, 103, 9, seed=1, noise=0.5))
+        points = smsi_reduce(cube, 25).pixel_matrix()
+        model, _ = gmm_em(points, 9, seed=1)
+        for cov in model.covariances:
+            assert np.array_equal(cov, cov.T)
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(12)
         points = rng.normal(size=(70, 2))
@@ -174,3 +183,69 @@ class TestGmm:
     def test_insufficient_points(self):
         with pytest.raises(InsufficientDataError):
             gmm_em(np.zeros((1, 2)), 2)
+
+
+def random_spd(rng, d):
+    """A covariance whose eigenvalues span 1e-6 (the prior's floor) to 1."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cov = (q * rng.permutation(np.geomspace(1e-6, 1.0, d))) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
+class TestLogGaussians:
+    @pytest.mark.parametrize("d, k", [(2, 1), (3, 9), (7, 4), (16, 2), (25, 9)])
+    def test_matches_slogdet_and_solve(self, d, k):
+        """Log densities and the trace's prior penalty against the direct
+        formulas, for covariances with condition number 1e6.  A log density
+        sums terms of either sign and can cancel to near zero, so its error
+        is measured against the terms' magnitude.  tr(Sigma^-1) is dominated
+        by 1/lambda_min, which a float64 factor resolves only to about
+        eps * cond(Sigma) relative: 2.2e-10 here, whichever formula runs."""
+        rng = np.random.default_rng(100 * d + k)
+        n = 300
+        covariances = np.stack([random_spd(rng, d) for _ in range(k)])
+        means = rng.normal(size=(k, d))
+        points = np.concatenate([rng.normal(size=(n // 2, d)),
+                                 means[rng.integers(k, size=n - n // 2)]
+                                 + 1e-3 * rng.normal(size=(n - n // 2, d))])
+        log_prob, inv_trace = _log_gaussians(points, means, covariances)
+
+        for j in range(k):
+            sign, logdet = np.linalg.slogdet(covariances[j])
+            assert sign > 0
+            diff = points - means[j]
+            maha = (diff * np.linalg.solve(covariances[j], diff.T).T).sum(axis=1)
+            terms = (d * np.log(2.0 * np.pi), logdet, maha)
+            expected = -0.5 * sum(terms)
+            magnitude = 0.5 * sum(np.abs(t) for t in terms)
+            assert np.all(np.abs(log_prob[:, j] - expected) <= 1e-10 * magnitude)
+
+        penalty = 0.5 * _RIDGE * n * inv_trace
+        direct = 0.5 * _RIDGE * n * sum(np.trace(np.linalg.inv(c)) for c in covariances)
+        cond = max(np.linalg.cond(c) for c in covariances)
+        assert penalty == pytest.approx(direct, rel=np.finfo(float).eps * cond, abs=0.0)
+
+    def test_indefinite_covariance_names_its_component(self):
+        """A negative eigenvalue in component 2 of 3 fails its Cholesky
+        factor and surfaces as a numerical error naming that component."""
+        rng = np.random.default_rng(14)
+        covariances = np.stack([random_spd(rng, 4) for _ in range(3)])
+        covariances[2] -= 0.5 * np.eye(4)
+        assert np.linalg.eigvalsh(covariances[2]).min() < 0
+        with pytest.raises(NumericalError, match="component 2 "):
+            _log_gaussians(rng.normal(size=(10, 4)), np.zeros((3, 4)), covariances)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("fit", [kmeans, gmm_em])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_clusterers_reject_non_finite_points(self, fit, bad):
+        points = np.random.default_rng(15).normal(size=(40, 3))
+        points[17, 1] = bad
+        with pytest.raises(ParameterError, match="points"):
+            fit(points, 3, seed=0)
+
+    @pytest.mark.parametrize("fit", [kmeans, gmm_em])
+    def test_clusterers_reject_zero_width_points(self, fit):
+        with pytest.raises(ParameterError, match="points"):
+            fit(np.empty((10, 0)), 2, seed=0)

@@ -63,6 +63,14 @@ class TestPcaFit:
         with pytest.raises(ParameterError):
             pca_fit(np.zeros((100, 4)), dims=5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixels_rejected(self, bad):
+        """Caught before the eigensolver, which would fail to converge."""
+        pixels = np.random.default_rng(6).normal(size=(50, 8))
+        pixels[3, 4] = bad
+        with pytest.raises(ParameterError, match="pixels"):
+            pca_fit(pixels, dims=3)
+
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(5)
         pixels = rng.normal(size=(200, 6))
