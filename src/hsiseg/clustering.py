@@ -1,11 +1,15 @@
 """Classical clusterers: k-means (Lloyd with k-means++ seeding) and a full-
 covariance Gaussian mixture fitted by expectation-maximization.
 
-Both are deterministic given (points, k, seed).  The mixture is initialized
-from the k-means solution and its E-step works in the log domain so that
-well-separated components do not underflow.  Each EM iteration factors every
-covariance once and evaluates all densities through GEMMs against the
-inverse Cholesky factors.
+Both are deterministic given (points, k, seed).  k-means computes the
+points' squared norms once per fit and forms every distance matrix in a
+(k, n) layout from one GEMM, ``centers @ points.T``, for the seeding and the
+Lloyd steps alike; the labels are the first nearest center.  A cluster left
+empty by a step takes the point farthest from its center among clusters of
+two or more points.  The mixture is initialized from the k-means solution
+and its E-step works in the log domain so that well-separated components do
+not underflow.  Each EM iteration factors every covariance once and
+evaluates all densities through GEMMs against the inverse Cholesky factors.
 """
 
 from __future__ import annotations
@@ -50,20 +54,29 @@ def _point_matrix(points) -> np.ndarray:
     return points
 
 
-def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    sq = ((points * points).sum(axis=1)[:, None]
-          + (centers * centers).sum(axis=1)[None, :]
-          - 2.0 * points @ centers.T)
+def _sq_distances(points: np.ndarray, point_norms: np.ndarray,
+                  centers: np.ndarray) -> np.ndarray:
+    """Squared distances, (k, n), from every center to every point.
+
+    ``point_norms`` holds the points' squared norms, computed once per fit.
+    The cross term is one product ``centers @ points.T``, which BLAS reads
+    in place.  Its entries equal those of ``points @ centers.T`` bit for bit,
+    for one center (the same matrix-vector product) or many; the tests check
+    this against the (n, k) form.
+    """
+    sq = (centers * centers).sum(axis=1)[:, None] + point_norms
+    sq -= 2.0 * centers @ points.T
     np.maximum(sq, 0.0, out=sq)
     return sq
 
 
-def _kpp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kpp_seed(points: np.ndarray, point_norms: np.ndarray, k: int,
+              rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: subsequent centers drawn with probability ~ D^2."""
     n = len(points)
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    closest = _sq_distances(points, centers[:1]).ravel()
+    closest = _sq_distances(points, point_norms, centers[:1])[0]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -71,7 +84,8 @@ def _kpp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             centers[j] = points[rng.integers(n)]
             continue
         centers[j] = points[rng.choice(n, p=closest / total)]
-        np.minimum(closest, _sq_distances(points, centers[j:j + 1]).ravel(), out=closest)
+        np.minimum(closest, _sq_distances(points, point_norms, centers[j:j + 1])[0],
+                   out=closest)
     return centers
 
 
@@ -79,38 +93,50 @@ def kmeans(points, k: int, seed=0, tol: float = 1e-6,
            max_iter: int = 300) -> tuple[KmeansModel, np.ndarray]:
     """Lloyd's algorithm; stops when the largest center shift drops below tol.
 
-    Empty clusters are repaired by moving their center onto the point
-    currently farthest from its assigned center, which keeps every cluster
-    non-empty in the returned model.
+    Each step forms the (k, n) squared distances from one GEMM against the
+    points' squared norms, which are computed once per fit, and labels each
+    point with the first nearest center.  A cluster left empty by a step
+    gets the point farthest from its center among clusters of two or more
+    points, so the repair never empties another cluster.  Each center is
+    then the mean of its points, summed in index order.  The returned labels
+    assign the points afresh to the final centers and identical points share
+    a label, so when the points hold fewer than k distinct values some
+    cluster is empty in them.
     """
     points = _point_matrix(points)
     if k < 1:
         raise ParameterError(f"cluster count must be positive, got {k}")
-    if len(points) < k:
-        raise InsufficientDataError(f"{len(points)} points cannot fill {k} clusters")
+    n = len(points)
+    if n < k:
+        raise InsufficientDataError(f"{n} points cannot fill {k} clusters")
 
     rng = _as_rng(seed)
-    centers = _kpp_seed(points, k, rng)
-    labels = np.zeros(len(points), dtype=np.int64)
+    norms = (points * points).sum(axis=1)
+    centers = _kpp_seed(points, norms, k, rng)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        sq = _sq_distances(points, centers)
-        labels = sq.argmin(axis=1)
-        closest = sq[np.arange(len(points)), labels]
-        for j in range(k):
-            if not np.any(labels == j):
-                runaway = int(np.argmax(closest))
-                centers[j] = points[runaway]
+        sq = _sq_distances(points, norms, centers)
+        labels = sq.argmin(axis=0)
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            # the farthest point of a cluster of two or more, so that no
+            # repair empties another cluster; with n >= k one always exists
+            closest = sq.min(axis=0)
+            for j in np.flatnonzero(counts == 0):
+                runaway = int(np.argmax(np.where(counts[labels] > 1, closest, -1.0)))
+                counts[labels[runaway]] -= 1
+                counts[j] = 1
                 labels[runaway] = j
-                closest[runaway] = 0.0
-        new_centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+                centers[j] = points[runaway]
+        sums = np.stack([points[labels == j].sum(axis=0) for j in range(k)])
+        new_centers = sums / counts[:, None]
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if shift < tol:
             break
-    sq = _sq_distances(points, centers)
-    labels = sq.argmin(axis=1)
-    inertia = float(sq[np.arange(len(points)), labels].sum())
+    sq = _sq_distances(points, norms, centers)
+    labels = sq.argmin(axis=0)
+    inertia = float(sq.min(axis=0).sum())
     return KmeansModel(centers=centers, inertia=inertia, iterations=iterations), labels
 
 

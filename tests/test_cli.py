@@ -432,17 +432,20 @@ class TestBlasThreads:
             tmp_path, commands, ("map.gt", "run/report.json", "run/checkpoint.zip"))
         assert artifacts[0] == artifacts[1]
 
-    def test_gmm_baseline_independent_of_blas_threads(self, tmp_path):
-        """The S-MSI GMM baseline writes the same bytes at one and two BLAS
-        threads.  At 2304 points each component's E-step and M-step products
-        exceed 10^6 multiply-adds, so OpenBLAS threads them.  (Under PCA the
-        covariance product inside pca_fit is thread-dependent; see README.)"""
+    @pytest.mark.parametrize("method", ["gmm", "kmeans"])
+    def test_smsi_baseline_independent_of_blas_threads(self, tmp_path, method):
+        """The S-MSI GMM and k-means baselines write the same bytes at one
+        and two BLAS threads.  At 2304 points each GMM component's E-step and
+        M-step products exceed 10^6 multiply-adds, so OpenBLAS threads them;
+        a k-means distance product is 4 x 2304 x 25 multiply-adds.  (Under
+        PCA the covariance product inside pca_fit is thread-dependent; see
+        README.)"""
         def commands(out):
             return [
                 ["synth", "--out", out / "scene", "--width", "48", "--height", "48",
                  "--bands", "30", "--classes", "4", "--seed", "3", "--noise", "0.3",
                  "--layout", "voronoi"],
-                ["baseline", "--method", "gmm", "--reduction", "smsi", "--clusters", "4",
+                ["baseline", "--method", method, "--reduction", "smsi", "--clusters", "4",
                  "--seed", "0", "--cube", out / "scene" / "cube.hsic",
                  "--truth", out / "scene" / "truth.gt", "--out-dir", out / "run"]]
         artifacts = artifacts_at_blas_threads(

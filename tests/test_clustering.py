@@ -1,5 +1,8 @@
 """k-means and Gaussian-mixture EM against synthetic-blob oracles."""
 
+import warnings
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,128 @@ class TestKmeans:
         inertias = [kmeans(points, 4, seed=9, tol=0.0, max_iter=m)[0].inertia
                     for m in range(1, 8)]
         assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
+
+    def test_tied_points_repair_keeps_centers_finite(self):
+        """Two distinct values for four clusters: every repair takes a point
+        from a cluster that keeps another, so no mean runs on an empty
+        slice and the fit stops once the centers stand still."""
+        points = np.array([[0.0], [0.0], [0.0], [1.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, labels = kmeans(points, 4, seed=0)
+        assert np.isfinite(model.centers).all()
+        assert model.iterations == 1
+        assert model.inertia == 0.0
+        np.testing.assert_array_equal(model.centers[labels], points)
+
+
+def reference_kmeans(points, k, rng, tol=1e-6, max_iter=300):
+    """k-means as first written: (n, k) distances from ``points @
+    centers.T`` with the point norms recomputed in every call, a repair that
+    moves the farthest point of any cluster, and masked means.  Returns
+    (centers, labels, inertia, iterations), or None once a repair takes the
+    last point of a cluster, where ``kmeans`` departs from it on purpose."""
+    def sq_distances(centers):
+        sq = ((points * points).sum(axis=1)[:, None]
+              + (centers * centers).sum(axis=1)[None, :]
+              - 2.0 * points @ centers.T)
+        np.maximum(sq, 0.0, out=sq)
+        return sq
+
+    n = len(points)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    closest = sq_distances(centers[:1]).ravel()
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            centers[j] = points[rng.integers(n)]
+            continue
+        centers[j] = points[rng.choice(n, p=closest / total)]
+        np.minimum(closest, sq_distances(centers[j:j + 1]).ravel(), out=closest)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        sq = sq_distances(centers)
+        labels = sq.argmin(axis=1)
+        closest = sq[np.arange(n), labels]
+        for j in range(k):
+            if not np.any(labels == j):
+                runaway = int(np.argmax(closest))
+                if np.count_nonzero(labels == labels[runaway]) == 1:
+                    return None
+                centers[j] = points[runaway]
+                labels[runaway] = j
+                closest[runaway] = 0.0
+        new_centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if shift < tol:
+            break
+    sq = sq_distances(centers)
+    labels = sq.argmin(axis=1)
+    inertia = float(sq[np.arange(n), labels].sum())
+    return centers, labels, inertia, iterations
+
+
+def assert_matches_reference(points, k, seed, **schedule):
+    """kmeans equals reference_kmeans bit for bit, and both leave a
+    generator passed as the seed in the same state."""
+    rng_fit, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    model, labels = kmeans(points, k, seed=rng_fit, **schedule)
+    centers, ref_labels, inertia, iterations = reference_kmeans(points, k, rng_ref, **schedule)
+    assert np.array_equal(model.centers, centers)
+    assert np.array_equal(labels, ref_labels)
+    assert model.inertia == inertia
+    assert model.iterations == iterations
+    assert rng_fit.bit_generator.state == rng_ref.bit_generator.state
+
+
+@lru_cache(maxsize=None)
+def baseline_points(seed, reduction):
+    """The benchmark's baselines points: a 64x64x103 9-class scene at noise
+    0.5, reduced to 25 features."""
+    cube = normalize(generate_cube(64, 64, 103, 9, seed=seed, noise=0.5))
+    reduce = {"pca": pca_reduce, "smsi": smsi_reduce}[reduction]
+    return reduce(cube, 25).pixel_matrix()
+
+
+class TestKmeansReference:
+    @pytest.mark.parametrize("schedule", [{"tol": -np.inf, "max_iter": 30}, {}],
+                             ids=["30-iterations", "default-stop"])
+    @pytest.mark.parametrize("reduction", ["pca", "smsi"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_baseline_points_bit_identical(self, seed, reduction, schedule):
+        """The (k, n) Lloyd step, one norm pass per fit and the count-based
+        repair change no bit of a fit on the benchmark's points, seeded with
+        a generator as cae.init_centers seeds it."""
+        assert_matches_reference(baseline_points(seed, reduction), 9, seed, **schedule)
+
+    def test_small_inputs_bit_identical_unless_reference_empties(self):
+        """Random small inputs, a third of them on a few repeated values and
+        k from 1 up: wherever the reference's repair empties no cluster the
+        fit is bit-identical to it, and elsewhere its centers stay finite."""
+        rng = np.random.default_rng(2024)
+        compared = 0
+        for case in range(90):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            k = int(rng.integers(1, min(n, 8) + 1))
+            if case % 3 == 0:
+                points = rng.normal(size=(n, d))
+            elif case % 3 == 1:
+                points = rng.integers(0, 3, size=(n, d)).astype(float)
+            else:
+                rows = rng.normal(size=(int(rng.integers(1, n + 1)), d))
+                points = rows[rng.integers(len(rows), size=n)]
+            for schedule in ({}, {"tol": -np.inf, "max_iter": 7}):
+                if reference_kmeans(points, k, np.random.default_rng(case), **schedule) is None:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        model, _ = kmeans(points, k, seed=case, **schedule)
+                    assert np.isfinite(model.centers).all()
+                else:
+                    assert_matches_reference(points, k, case, **schedule)
+                    compared += 1
+        assert compared >= 150
 
 
 class TestGmm:
