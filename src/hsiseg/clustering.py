@@ -6,10 +6,11 @@ points' squared norms once per fit and forms every distance matrix in a
 (k, n) layout from one GEMM, ``centers @ points.T``, for the seeding and the
 Lloyd steps alike; the labels are the first nearest center.  A cluster left
 empty by a step takes the point farthest from its center among clusters of
-two or more points.  The mixture is initialized from the k-means solution
-and its E-step works in the log domain so that well-separated components do
-not underflow.  Each EM iteration factors every covariance once and
-evaluates all densities through GEMMs against the inverse Cholesky factors.
+two or more points.  The mixture's EM starts with an M-step on the k-means
+labels and its E-step works in the log domain so that well-separated
+components do not underflow.  Each EM iteration factors every covariance
+once and evaluates all densities through GEMMs against the inverse Cholesky
+factors.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class GmmModel:
     weights: np.ndarray       # (k,) simplex vector
     means: np.ndarray         # (k, d)
     covariances: np.ndarray   # (k, d, d) symmetric positive-definite
+    # EM's objective after each E-step; the last is that of these parameters
     log_likelihood_trace: list[float] = field(default_factory=list)
 
 
@@ -169,8 +171,10 @@ def _log_gaussians(points: np.ndarray, means: np.ndarray,
 
 def gmm_em(points, k: int, seed=0, tol: float = 1e-6,
            max_iter: int = 200) -> tuple[GmmModel, np.ndarray]:
-    """Full-covariance Gaussian mixture via EM, initialized from k-means.
+    """Full-covariance Gaussian mixture via EM, started from k-means.
 
+    Each iteration runs the M-step, then the E-step, then the stop test; the
+    first M-step reads the k-means labels as one-hot responsibilities.
     Every covariance carries the fixed prior exp(-tr(Psi Sigma^-1) / 2) with
     Psi = _RIDGE * n * I, which keeps the factors positive-definite: the
     M-step sets Sigma_j = (S_j + Psi) / N_j, with S_j the
@@ -178,43 +182,26 @@ def gmm_em(points, k: int, seed=0, tol: float = 1e-6,
     diagonal gains at least _RIDGE.  The trace holds the objective this EM
     ascends, one value per E-step: the log-likelihood minus
     _RIDGE * n / 2 * sum_j tr(Sigma_j^-1).  It never decreases beyond
-    rounding.  Iteration stops once it improves by less than tol.  Labels
-    are the argmax responsibilities.
+    rounding.  Iteration stops once it improves by less than tol, or after
+    max_iter iterations.  The returned parameters are those of the last
+    E-step: the trace's last value is their objective and the labels are
+    their argmax responsibilities.
     """
     points = _point_matrix(points)
     if k < 1:
         raise ParameterError(f"component count must be positive, got {k}")
+    if max_iter < 1:
+        raise ParameterError(f"EM needs at least one iteration, got max_iter={max_iter}")
     n, d = points.shape
     if n < k:
         raise InsufficientDataError(f"{n} points cannot support {k} components")
 
-    km, hard = kmeans(points, k, seed=seed)
-    means = km.centers.copy()
-    weights = np.bincount(hard, minlength=k).astype(np.float64) / n
-    global_cov = np.cov(points.T, bias=True).reshape(d, d)
-    covariances = np.empty((k, d, d))
-    for j in range(k):
-        member = points[hard == j]
-        if len(member) > 1:
-            covariances[j] = np.cov(member.T, bias=True).reshape(d, d)
-        else:
-            covariances[j] = global_cov
-        covariances[j][np.diag_indices(d)] += _RIDGE
-
+    _, hard = kmeans(points, k, seed=seed)
+    resp = np.eye(k)[hard]  # one-hot: the first M-step reads the k-means labels
     prior = _RIDGE * n * np.eye(d)
+    covariances = np.empty((k, d, d))
     trace: list[float] = []
-    resp = np.zeros((n, k))
     for _ in range(max_iter):
-        # E-step in the log domain
-        log_prob, inv_trace = _log_gaussians(points, means, covariances)
-        log_prob += np.log(np.maximum(weights, 1e-300))
-        top = log_prob.max(axis=1, keepdims=True)
-        norm = top + np.log(np.exp(log_prob - top).sum(axis=1, keepdims=True))
-        resp = np.exp(log_prob - norm)
-        objective = float(norm.sum() - 0.5 * _RIDGE * n * inv_trace)
-        trace.append(objective)
-        if len(trace) > 1 and objective - trace[-2] < tol:
-            break
         # M-step
         mass = resp.sum(axis=0)
         mass = np.maximum(mass, 1e-300)
@@ -225,6 +212,16 @@ def gmm_em(points, k: int, seed=0, tol: float = 1e-6,
             a = points - means[j]
             a *= np.sqrt(resp[:, j])[:, None]
             covariances[j] = (a.T @ a + prior) / mass[j]
+        # E-step in the log domain
+        log_prob, inv_trace = _log_gaussians(points, means, covariances)
+        log_prob += np.log(np.maximum(weights, 1e-300))
+        top = log_prob.max(axis=1, keepdims=True)
+        norm = top + np.log(np.exp(log_prob - top).sum(axis=1, keepdims=True))
+        resp = np.exp(log_prob - norm)
+        objective = float(norm.sum() - 0.5 * _RIDGE * n * inv_trace)
+        trace.append(objective)
+        if len(trace) > 1 and objective - trace[-2] < tol:
+            break
 
     labels = resp.argmax(axis=1)
     model = GmmModel(weights=weights, means=means, covariances=covariances,

@@ -213,6 +213,31 @@ class TestKmeansReference:
         assert compared >= 150
 
 
+def smoke_scene_points():
+    """The benchmark's smoke baselines scene at seed 79, reduced by PCA to 5."""
+    cube = normalize(generate_cube(12, 12, 30, 3, seed=79, noise=0.5))
+    return pca_reduce(cube, 5).pixel_matrix()
+
+
+def em_objective(points, model):
+    """The objective and argmax labels of ``model``'s E-step, in gmm_em's
+    arithmetic, so that a model and trace that agree match bit for bit."""
+    log_prob, inv_trace = _log_gaussians(points, model.means, model.covariances)
+    log_prob += np.log(np.maximum(model.weights, 1e-300))
+    top = log_prob.max(axis=1, keepdims=True)
+    norm = top + np.log(np.exp(log_prob - top).sum(axis=1, keepdims=True))
+    objective = float(norm.sum() - 0.5 * _RIDGE * len(points) * inv_trace)
+    return objective, log_prob.argmax(axis=1)
+
+
+def assert_valid_mixture(model):
+    assert np.isfinite(model.log_likelihood_trace).all()
+    for cov in model.covariances:
+        assert np.linalg.eigvalsh(cov).min() > 0
+    assert model.weights.min() >= 0.0
+    assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 class TestGmm:
     def test_k_one_closed_form(self):
         """Single component: mean = sample mean, covariance = MLE + ridge."""
@@ -264,13 +289,58 @@ class TestGmm:
         """The benchmark's smoke baselines scene at seed 79: a ridge added
         after the weighted scatter made this trace fall by 1.7e-9 of its
         value; the prior's M-step maximizes the objective the trace holds."""
-        cube = normalize(generate_cube(12, 12, 30, 3, seed=79, noise=0.5))
-        points = pca_reduce(cube, 5).pixel_matrix()
+        points = smoke_scene_points()
         model, _ = gmm_em(points, 3, seed=79, tol=-np.inf, max_iter=5)
         trace = np.array(model.log_likelihood_trace)
         assert len(trace) == 5
         drops = -np.diff(trace) / np.maximum(1.0, np.abs(trace[1:]))
         assert drops.max() <= 1e-9
+
+    @pytest.mark.parametrize("schedule", [{"tol": -np.inf, "max_iter": 1}, {}],
+                             ids=["at-cap", "converged"])
+    def test_returned_model_is_the_one_trace_and_labels_describe(self, schedule):
+        """Stopped at the cap or converged, the returned parameters are those
+        of the last E-step: their objective is the trace's last value and
+        their argmax responsibilities are the labels.  Returning the
+        parameters of one more M-step would move this scene's objective by
+        6e-6 after one iteration."""
+        points = smoke_scene_points()
+        model, labels = gmm_em(points, 3, seed=79, **schedule)
+        if schedule:
+            assert len(model.log_likelihood_trace) == 1
+        objective, argmax = em_objective(points, model)
+        assert objective == model.log_likelihood_trace[-1]
+        np.testing.assert_array_equal(argmax, labels)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_kmeans_singleton_component(self, k):
+        """An outlier that k-means leaves alone in its cluster: the first
+        M-step's covariance for it is the prior's alone, with no warning."""
+        rng = np.random.default_rng(3)
+        points = np.concatenate([rng.normal(size=(50, 2)), [[40.0, 40.0]]])
+        _, hard = kmeans(points, k, seed=0)
+        assert np.count_nonzero(hard == hard[-1]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, _ = gmm_em(points, k, seed=0)
+        assert_valid_mixture(model)
+
+    def test_empty_kmeans_cluster(self):
+        """Two distinct values for four components: k-means leaves two
+        clusters empty, and EM keeps them as finite components of
+        negligible weight, with no warning."""
+        points = np.array([[0.0], [0.0], [0.0], [1.0], [1.0]])
+        _, hard = kmeans(points, 4, seed=0)
+        assert np.count_nonzero(np.bincount(hard, minlength=4)) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, _ = gmm_em(points, 4, seed=0)
+        assert_valid_mixture(model)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_fewer_than_one_iteration(self, max_iter):
+        with pytest.raises(ParameterError, match="max_iter"):
+            gmm_em(np.random.default_rng(16).normal(size=(20, 2)), 2, max_iter=max_iter)
 
     def test_weights_on_simplex(self):
         rng = np.random.default_rng(10)
