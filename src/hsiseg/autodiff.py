@@ -27,12 +27,14 @@ channels-first output, and carry zero adjoint, which makes the two adjoints
 the same tap GEMMs.  This row layout with the invalid rows kept is the run
 layout; an adjoint in it is also led by kd - 1 zero rows.
 
-One op runs over a batch of patches: :func:`conv3d_dropout_dense`, the
-autoencoder's first convolution, dropout and the encoder fold's dense map in
-one.  Its activation and adjoint stay in the run layout, so neither is copied
-into the channels-first layout of the public ops.  In the folds of
-:mod:`hsiseg.cae` the other convolutions run over ``embedding_dim`` items, or
-over one layer's kernels to build the composite kernel of two layers.
+One op runs over a batch of patches in training: :func:`conv3d_dropout_dense`,
+the autoencoder's first convolution, dropout and the encoder fold's dense map
+in one.  Its activation and adjoint stay in the run layout, so neither is
+copied into the channels-first layout of the public ops.  It and
+:func:`dropout` always draw a mask; at inference dropout is an identity and
+the encoder is one dense map.  In the folds of :mod:`hsiseg.cae` the other
+convolutions run over ``embedding_dim`` items, or over one layer's kernels to
+build the composite kernel of two layers.
 """
 
 from __future__ import annotations
@@ -400,20 +402,16 @@ def dense(x, weights, bias, tape: Tape | None = None) -> Tensor:
     return _emit(tape, out_data, (x, weights, bias), backward)
 
 
-def dropout(x, p: float, rng: np.random.Generator | None = None,
-            tape: Tape | None = None) -> Tensor:
+def dropout(x, p: float, rng: np.random.Generator, tape: Tape | None = None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Without ``rng`` (inference) it is a pure identity.  With ``rng``
-    (training) it draws one uniform variate per element even when p == 0,
-    so a fixed seed gives a bit-identical run regardless of the dropout
-    setting.
+    It runs in training only: at inference it is an identity, and the
+    encoder is then :func:`hsiseg.cae.encoder_map`.  It draws one uniform
+    variate per element from ``rng`` even when p == 0, so a fixed seed gives
+    a bit-identical run regardless of the dropout setting.
     """
     _check_dropout(p)
     x = as_tensor(x)
-    if rng is None:
-        return x
-
     keep = rng.random(x.data.shape) >= p
     scale = 1.0 / (1.0 - p)
     out_data = x.data * scale
@@ -429,7 +427,7 @@ def dropout(x, p: float, rng: np.random.Generator | None = None,
     return _emit(tape, out_data, (x,), backward)
 
 
-def conv3d_dropout_dense(x, kernels, bias, p: float, rng: np.random.Generator | None,
+def conv3d_dropout_dense(x, kernels, bias, p: float, rng: np.random.Generator,
                          dense_weights, dense_bias, tape: Tape | None = None) -> Tensor:
     """``dense(reshape(dropout(conv3d(x, kernels, bias), p, rng), (P, -1)), dense_weights,
     dense_bias)`` as one primitive over a (P, C, h, w, d) batch with no adjoint.
@@ -439,11 +437,12 @@ def conv3d_dropout_dense(x, kernels, bias, p: float, rng: np.random.Generator | 
     of :func:`_correlate_runs` instead, invalid rows included, so neither is
     copied into another layout.  The dense weights are permuted once to that
     layout, with zeros on the invalid rows and dropout's 1/(1-p) folded in.
-    Dropout draws its mask as :func:`dropout` does, in the channels-first
-    order, and multiplies the convolution output by it in place; without
-    ``rng`` it is an identity.  The dense input adjoint then already is the
-    zero-tailed run layout that :func:`_kernel_adjoint` reads, against the
-    spatial rows of the forward pass.
+    Dropout draws its mask from ``rng`` as :func:`dropout` does, in the
+    channels-first order, and multiplies the convolution output by it in
+    place.  The dense input adjoint then already is the zero-tailed run
+    layout that :func:`_kernel_adjoint` reads, against the spatial rows of
+    the forward pass.  This is the training op; at inference the encoder is
+    :func:`hsiseg.cae.encoder_map`.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     weights, offset = as_tensor(dense_weights), as_tensor(dense_bias)
@@ -460,12 +459,10 @@ def conv3d_dropout_dense(x, kernels, bias, p: float, rng: np.random.Generator | 
                          f"the convolution output {(P, K, hp, wp, dp)}")
     n, width = len(wd), hp * wp * d * K  # width: one item's run-layout values
 
-    keep, scale = None, 1.0
-    if rng is not None:
-        drawn = rng.random((P, K, hp, wp, dp)) >= p
-        keep = np.zeros((P, hp, wp, d, K), dtype=bool)
-        keep[:, :, :, :dp] = drawn.transpose(0, 2, 3, 4, 1)
-        keep, scale = keep.reshape(-1, K), 1.0 / (1.0 - p)
+    drawn = rng.random((P, K, hp, wp, dp)) >= p
+    keep = np.zeros((P, hp, wp, d, K), dtype=bool)
+    keep[:, :, :, :dp] = drawn.transpose(0, 2, 3, 4, 1)
+    keep, scale = keep.reshape(-1, K), 1.0 / (1.0 - p)
     perm = np.zeros((n, hp, wp, d, K))
     perm[:, :, :, :dp] = wd.reshape(n, K, hp, wp, dp).transpose(0, 2, 3, 4, 1)
     perm = perm.reshape(n, width)
@@ -473,8 +470,7 @@ def conv3d_dropout_dense(x, kernels, bias, p: float, rng: np.random.Generator | 
     rows = _spatial_rows(x5, kh, kw)
     act = _correlate_runs(rows, k5)
     act += bias.data
-    if keep is not None:
-        act *= keep
+    act *= keep
     out_data = act.reshape(P, width) @ perm.T
     out_data += ob
 
@@ -487,8 +483,7 @@ def conv3d_dropout_dense(x, kernels, bias, p: float, rng: np.random.Generator | 
             runs = np.empty((kd - 1 + len(act), K))
             runs[:kd - 1] = 0.0
             np.matmul(g, perm, out=runs[kd - 1:].reshape(P, width))
-            if keep is not None:
-                runs[kd - 1:] *= keep
+            runs[kd - 1:] *= keep
             dk = _kernel_adjoint(rows, runs, k5.shape) if kernels.requires_grad else None
             db = runs.sum(axis=0) if bias.requires_grad else None
         return None, dk, db, dw, g.sum(axis=0) if offset.requires_grad else None

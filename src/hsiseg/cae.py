@@ -19,8 +19,9 @@ by their composite kernel, the transposed convolution of the second layer's
 kernels by the first's, so the decoder's two transposed convolutions run as
 one.  Dropout is an identity at inference, so :func:`encoder_map` folds the
 whole encoder, its two convolutions composed the same way, into one dense map
-of the flattened patch, through which :func:`~hsiseg.train.embed_all` and
-:func:`~hsiseg.train.segment` compute every latent.
+of the flattened patch: :func:`encode_batch` without a generator,
+:func:`~hsiseg.train.embed_all` and :func:`~hsiseg.train.segment` compute
+every latent through it.
 
 Checkpoints are a single zip archive: ``meta.json`` (format, version and
 architecture config), ``manifest.json`` listing (name, shape, dtype, file)
@@ -200,40 +201,44 @@ def encode_batch(params: CaeParams, patches, rng: np.random.Generator | None = N
                  tape: Tape | None = None) -> Tensor:
     """Embed a (count, s, s, bands) batch of patches into (count, n) latents.
 
-    Passing ``rng`` trains: the dropout layer draws its mask from it.
-    Without it the encoder runs in inference mode and dropout is an identity.
-    Only ``enc_conv1`` and dropout run over the batch, and the layers after
-    them are one fold: the three are one
+    Passing ``rng`` trains: the dropout layer draws its mask from it.  Only
+    ``enc_conv1`` and dropout run over the batch, and the layers after them
+    are one fold: the three are one
     :func:`~hsiseg.autodiff.conv3d_dropout_dense`, whose activation and
-    adjoint stay in the convolution's row layout.
+    adjoint stay in the convolution's row layout.  Without ``rng`` dropout is
+    an identity and the latents are :func:`encoder_map`'s dense map.
     """
     x = ad.as_tensor(patches).data
     _check_patch_shape(params.config, x)
+    if rng is None:
+        return ad.dense(x.reshape(len(x), -1), *encoder_map(params, tape), tape)
     w = params.weights
     weights, bias = _encoder_fold(params, tape)
     return ad.conv3d_dropout_dense(x[:, None], w["enc_conv1_w"], w["enc_conv1_b"],
                                    params.config.dropout_p, rng, weights, bias, tape)
 
 
-def encoder_map(params: CaeParams) -> tuple[np.ndarray, np.ndarray]:
+def encoder_map(params: CaeParams, tape: Tape | None = None) -> tuple[Tensor, Tensor]:
     """The inference-mode encoder as one affine map of a flattened patch.
 
-    Returns (n, s*s*bands) ``weights`` and (n,) ``bias`` such that
-    ``dense(patches.reshape(count, -1), weights, bias)`` gives the latents
-    of :func:`encode_batch` without ``rng``.  The ``enc_dense`` rows run
-    back through one transposed convolution by the composite kernel of
-    ``enc_conv1`` and ``enc_conv2``, with a zero bias; ``bias`` is the
-    latent of a zero patch.
+    Returns (n, s*s*bands) ``weights`` and (n,) ``bias``, built on ``tape``
+    from the encoder tensors, such that ``dense(patches.reshape(count, -1),
+    weights, bias)`` gives the latents of the layers run one by one with
+    dropout an identity.  The ``enc_dense`` rows run back through one
+    transposed convolution by the composite kernel of ``enc_conv1`` and
+    ``enc_conv2``, with a zero bias; ``bias`` is the latent of a zero patch.
     """
     cfg, w = params.config, params.weights
     k, n, s = cfg.kernels_per_layer, cfg.embedding_dim, cfg.patch_spatial
-    rows = w["enc_dense_w"].data.reshape(n, k, 1, 1, cfg.conv2_depth)
+    rows = ad.reshape(w["enc_dense_w"], (n, k, 1, 1, cfg.conv2_depth), tape)
     # conv3d(conv3d(x, conv1), conv2) is conv3d(x, kernel): (K, 1, 2ks-1, 2ks-1, 2kd-1)
-    kernel = ad.conv3d_transpose(w["enc_conv2_w"].data, w["enc_conv1_w"].data, np.zeros(1))
-    g = ad.conv3d_transpose(rows, kernel, np.zeros(1)).data
-    h = ad.conv3d(np.zeros((1, 1, s, s, cfg.bands)), w["enc_conv1_w"], w["enc_conv1_b"])
-    h = ad.reshape(ad.conv3d(h, w["enc_conv2_w"], w["enc_conv2_b"]), (1, -1))
-    return g.reshape(n, -1), ad.dense(h, w["enc_dense_w"], w["enc_dense_b"]).data[0]
+    kernel = ad.conv3d_transpose(w["enc_conv2_w"], w["enc_conv1_w"], np.zeros(1), tape)
+    g = ad.conv3d_transpose(rows, kernel, np.zeros(1), tape)
+    zero = np.zeros((1, 1, s, s, cfg.bands))  # gives the kernels no adjoint
+    h = ad.conv3d(zero, w["enc_conv1_w"].data, w["enc_conv1_b"], tape)
+    h = ad.reshape(ad.conv3d(h, w["enc_conv2_w"], w["enc_conv2_b"], tape), (1, -1), tape)
+    bias = ad.dense(h, w["enc_dense_w"], w["enc_dense_b"], tape)
+    return ad.reshape(g, (n, -1), tape), ad.reshape(bias, (n,), tape)
 
 
 def decode_batch(params: CaeParams, latents, tape: Tape | None = None) -> Tensor:

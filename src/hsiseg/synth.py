@@ -15,16 +15,15 @@ from .cube import HsiCube
 from .errors import ParameterError
 
 
-def class_signatures(classes: int, bands: int, peak: float = 1.0,
-                     baseline: float = 0.1) -> np.ndarray:
-    """Gaussian-bump spectra, one per class, with evenly spaced centers."""
+def class_signatures(classes: int, bands: int, peak: float = 1.0) -> np.ndarray:
+    """Gaussian-bump spectra over a 0.1 baseline, one per class, with evenly spaced centers."""
     if classes < 1 or bands < 1:
         raise ParameterError("classes and bands must be positive")
     band_axis = np.arange(bands)
     centers = (np.arange(classes) + 0.5) * bands / classes
     width = max(bands / (3.0 * classes), 1.0)
     bumps = np.exp(-0.5 * ((band_axis[None, :] - centers[:, None]) / width) ** 2)
-    return baseline + peak * bumps
+    return 0.1 + peak * bumps
 
 
 def signature_separation(signatures: np.ndarray) -> float:
@@ -59,12 +58,11 @@ def _stripe_labels(height: int, width: int, classes: int) -> np.ndarray:
 
 
 def generate_cube(width: int, height: int, bands: int, classes: int,
-                  seed: int = 0, noise: float = 0.05, peak: float = 1.0,
-                  layout: str = "voronoi") -> HsiCube:
+                  seed: int = 0, noise: float = 0.05, layout: str = "voronoi") -> HsiCube:
     """A labeled synthetic scene with spatially coherent class regions.
 
     ``noise`` is the per-element white-noise standard deviation; signatures
-    are Gaussian bumps (see :func:`class_signatures`).  No pixel is
+    are Gaussian bumps of height 1 (see :func:`class_signatures`).  No pixel is
     background: labels run 1..classes.
     """
     if layout not in ("voronoi", "stripes"):
@@ -72,7 +70,7 @@ def generate_cube(width: int, height: int, bands: int, classes: int,
     if noise < 0:
         raise ParameterError("noise level cannot be negative")
     rng = np.random.default_rng(seed)
-    signatures = class_signatures(classes, bands, peak=peak)
+    signatures = class_signatures(classes, bands)
     if layout == "voronoi":
         labels = _voronoi_labels(height, width, classes, rng)
     else:

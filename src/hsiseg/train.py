@@ -139,7 +139,7 @@ def embed_all(params: cae.CaeParams, patches: np.ndarray) -> np.ndarray:
     """
     patches = np.asarray(patches, dtype=np.float64)
     cae._check_patch_shape(params.config, patches)
-    weights, bias = cae.encoder_map(params)
+    weights, bias = (t.data for t in cae.encoder_map(params))
     return _encode_rows(patches.reshape(len(patches), -1), weights, bias)
 
 
@@ -280,7 +280,7 @@ def segment(params: cae.CaeParams, cube: HsiCube) -> SegmentationMap:
         raise ShapeError(f"cube has {cube.bands} bands, model expects "
                          f"{params.config.bands}")
     windows = patch_windows(cube, params.config.patch_spatial)
-    weights, bias = cae.encoder_map(params)
+    weights, bias = (t.data for t in cae.encoder_map(params))
     rows = max(1, INFERENCE_CHUNK // cube.width)
     labels = np.empty((cube.height, cube.width), dtype=np.int64)
     for top in range(0, cube.height, rows):

@@ -298,8 +298,8 @@ class TestConvDropoutDense:
         h = dropout(conv3d(x, kernels, bias, tape), p, rng, tape)
         return dense(reshape(h, (len(x.data), -1), tape), weights, offset, tape)
 
-    # dropout 1/(1-p) is a power of two at p = 0.5 only; seed None is inference
-    @pytest.mark.parametrize("p,seed", [(0.5, 5), (0.3, 6), (0.0, 7), (0.5, None)])
+    # dropout 1/(1-p) is a power of two at p = 0.5 only
+    @pytest.mark.parametrize("p,seed", [(0.5, 5), (0.3, 6), (0.0, 7)])
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_matches_composed_ops(self, case, p, seed):
         P, C, K, extents, kext = case
@@ -313,8 +313,7 @@ class TestConvDropoutDense:
         for op in (self.composed, conv3d_dropout_dense):
             tensors = [Tensor(a, requires_grad=True) for a in params]
             tape = Tape()
-            draw = None if seed is None else np.random.default_rng(seed)
-            out = op(x, *tensors[:2], p, draw, *tensors[2:], tape)
+            out = op(x, *tensors[:2], p, np.random.default_rng(seed), *tensors[2:], tape)
             tape.backward(sum_all(mul(out, Tensor(upstream), tape), tape))
             results.append([out.data] + [t.grad for t in tensors])
         for actual, expected in zip(results[1], results[0]):
@@ -323,15 +322,16 @@ class TestConvDropoutDense:
     def test_input_adjoint_rejected(self):
         x = Tensor(np.ones((1, 1, 3, 3, 4)), requires_grad=True)
         with pytest.raises(ParameterError):
-            conv3d_dropout_dense(x, np.ones((2, 1, 3, 3, 2)), np.zeros(2), 0.5, None,
-                                 np.ones((1, 6)), np.zeros(1), Tape())
+            conv3d_dropout_dense(x, np.ones((2, 1, 3, 3, 2)), np.zeros(2), 0.5,
+                                 np.random.default_rng(0), np.ones((1, 6)), np.zeros(1), Tape())
 
     def test_invalid_arguments(self):
         x, k, b = np.ones((1, 1, 3, 3, 4)), np.ones((2, 1, 3, 3, 2)), np.zeros(2)
+        rng = np.random.default_rng(0)
         with pytest.raises(ParameterError):
-            conv3d_dropout_dense(x, k, b, 1.0, None, np.ones((1, 6)), np.zeros(1))
+            conv3d_dropout_dense(x, k, b, 1.0, rng, np.ones((1, 6)), np.zeros(1))
         with pytest.raises(ShapeError):  # the output has 2*1*1*3 = 6 values
-            conv3d_dropout_dense(x, k, b, 0.5, None, np.ones((1, 8)), np.zeros(1))
+            conv3d_dropout_dense(x, k, b, 0.5, rng, np.ones((1, 8)), np.zeros(1))
 
 
 class TestDense:
@@ -369,12 +369,6 @@ class TestDropout:
         out = dropout(x, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out.data, x)
 
-    def test_infer_is_identity_for_any_p(self):
-        """Without a generator dropout runs in inference mode."""
-        x = np.ones((5, 5))
-        out = dropout(x, 0.9)
-        np.testing.assert_array_equal(out.data, x)
-
     def test_inverted_scaling_preserves_mean(self):
         """Law of large numbers: the sample mean stays within 1% of 1."""
         x = np.ones(1_000_000)
@@ -390,8 +384,6 @@ class TestDropout:
     def test_invalid_probability(self):
         with pytest.raises(ParameterError):
             dropout(np.ones(3), 1.0, np.random.default_rng(0))
-        with pytest.raises(ParameterError):
-            dropout(np.ones(3), 1.0)  # also checked in inference mode
 
     def test_training_holds_a_boolean_mask(self):
         """Beyond its output, a training call keeps less than a quarter of its

@@ -14,6 +14,7 @@ from hsiseg.cae import (CaeConfig, build_cae, clustering_loss, decode_batch,
                         target_distribution, total_loss)
 from hsiseg.errors import (ConfigError, DegenerateDataError, FormatError,
                            ShapeError, StateError)
+from hsiseg.train import embed_all
 from test_autodiff import traced_peak
 
 
@@ -26,10 +27,12 @@ def desk_config(**overrides):
 
 def factored_encode(params, patches, rng=None, tape=None):
     """The encoder layer by layer, as the paper draws it: the reference that
-    the folds of encode_batch and encoder_map must equal."""
+    the folds of encode_batch and encoder_map must equal.  Without ``rng``
+    it infers, and dropout, an identity then, is left out."""
     w, cfg = params.weights, params.config
     h = ad.conv3d(Tensor(patches[:, None]), w["enc_conv1_w"], w["enc_conv1_b"], tape)
-    h = ad.dropout(h, cfg.dropout_p, rng, tape)
+    if rng is not None:
+        h = ad.dropout(h, cfg.dropout_p, rng, tape)
     h = ad.conv3d(h, w["enc_conv2_w"], w["enc_conv2_b"], tape)
     flat = ad.reshape(h, (len(patches), cfg.flat_dim), tape)
     return ad.dense(flat, w["enc_dense_w"], w["enc_dense_b"], tape)
@@ -182,19 +185,49 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("config", GEOMETRIES.values(), ids=GEOMETRIES)
     def test_encoder_map_matches_conv_path(self, config):
         """The encoder is affine at inference: its folded dense map gives the
-        latents of the convolutions run layer by layer in inference mode.  A
-        nonlinear layer, or a dropout that is not an identity without rng,
-        breaks this."""
+        latents of the convolutions run layer by layer with dropout left out.
+        A nonlinear layer, or a fold that applies dropout's 1/(1-p) at
+        inference, breaks this."""
         params = build_cae(config, np.random.default_rng(17))
         perturb_biases(params, 18)
         s = config.patch_spatial
         patches = np.random.default_rng(19).random((40, s, s, config.bands))
-        weights, bias = encoder_map(params)
+        weights, bias = (t.data for t in encoder_map(params))
         assert weights.shape == (config.embedding_dim, s * s * config.bands)
         assert bias.shape == (config.embedding_dim,)
         folded = patches.reshape(40, -1) @ weights.T + bias
         conv = factored_encode(params, patches).data
         assert np.abs(folded - conv).max() <= 1e-12 * np.abs(conv).max()
+
+    # 40 bands and 16 kernels as in the criterion-5 model, and paper shape; 64
+    # patches are more rows than embed_all's GEMM pads a product to
+    @pytest.mark.parametrize("config", [CaeConfig(bands=40, kernels_per_layer=16),
+                                        CaeConfig(bands=103)], ids=["40-bands", "paper"])
+    def test_inference_encode_is_embed_all(self, config):
+        """encode_batch without a generator is encoder_map's dense map: its
+        latents are the ones embed_all and segment compute, bit for bit."""
+        params = build_cae(config, np.random.default_rng(32))
+        perturb_biases(params, 33)
+        s = config.patch_spatial
+        patches = np.random.default_rng(34).random((64, s, s, config.bands))
+        np.testing.assert_array_equal(encode_batch(params, patches).data,
+                                      embed_all(params, patches))
+
+    def test_encoder_map_gradient(self):
+        """encoder_map records on a tape: its weights and bias pass the
+        finite-difference check against all six encoder tensors."""
+        params = build_cae(desk_config(kernels_per_layer=2, embedding_dim=3),
+                           np.random.default_rng(35))
+        perturb_biases(params, 36)
+        tensors = [t for name, t in params.weight_items() if name.startswith("enc_")]
+        assert len(tensors) == 6
+
+        def f(tape):
+            weights, bias = encoder_map(params, tape)
+            return ad.add(ad.sum_all(ad.mul(weights, weights, tape), tape),
+                          ad.sum_all(ad.mul(bias, bias, tape), tape), tape)
+
+        assert grad_check(f, tensors, eps=1e-3) <= 1e-4
 
     # dropout's 1/(1-p) is a power of two only at the default p = 0.5, and
     # p = 0 still draws a mask
