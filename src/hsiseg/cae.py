@@ -23,9 +23,10 @@ of the flattened patch: :func:`encode_batch` without a generator,
 :func:`~hsiseg.train.embed_all` and :func:`~hsiseg.train.segment` compute
 every latent through it.
 
-Checkpoints are a single zip archive: ``meta.json`` (format, version and
-architecture config), ``manifest.json`` listing (name, shape, dtype, file)
-for each tensor, and one raw little-endian float64 payload per tensor.
+Checkpoints are a single zip archive: ``meta.json`` (format, version, the
+architecture config and any run config), ``manifest.json`` listing (name,
+shape, dtype, file) for each tensor, and one raw little-endian float64
+payload per tensor.
 Entry order and timestamps are fixed so identical parameters give
 byte-identical archives.
 """
@@ -50,15 +51,13 @@ class CaeConfig:
     """Architecture hyperparameters.
 
     Each knob has its declared type (see :func:`~hsiseg.errors.check_knobs`).
-    The spatial kernel extent must satisfy 2*(kernel_spatial-1)+1 ==
-    patch_spatial so that the two valid convolutions collapse the patch to a
-    single central position, and the spectral kernel depth must leave at
-    least one spectral position after both layers.
+    The spectral kernel depth must leave at least one spectral position
+    after both layers.  The patch size is no knob: :attr:`patch_spatial` is
+    the one that two valid convolutions collapse to its central pixel.
     """
 
     bands: int
     clusters: int = 2
-    patch_spatial: int = 5
     kernels_per_layer: int = 32
     kernel_spatial: int = 3
     kernel_depth: int = 9
@@ -76,14 +75,17 @@ class CaeConfig:
         """Every check but the spectral extent's, which needs ``bands``, on
         the ``arch`` knobs (absent ones take their defaults)."""
         knobs = {f.name: f.default for f in fields(cls)} | arch
-        positive, ks = (lambda v: v >= 1, "must be positive"), knobs["kernel_spatial"]
-        check_knobs(cls, knobs, {  # kernel_spatial is checked before patch_spatial reads it
+        positive = (lambda v: v >= 1, "must be positive")
+        check_knobs(cls, knobs, {
             "clusters": (lambda v: v >= 2, "clustering needs at least two clusters"),
             **dict.fromkeys(("kernels_per_layer", "kernel_spatial", "kernel_depth",
                              "embedding_dim"), positive),
-            "patch_spatial": (lambda v: v == 2 * (ks - 1) + 1,
-                              f"two valid {ks}x{ks} stages do not collapse it to 1x1"),
             "dropout_p": (lambda v: 0.0 <= v < 1.0, "dropout probability must lie in [0, 1)")})
+
+    @property
+    def patch_spatial(self) -> int:
+        """Patch side that two valid kernel_spatial stages collapse to 1x1."""
+        return 2 * self.kernel_spatial - 1
 
     @property
     def conv1_depth(self) -> int:
@@ -340,21 +342,19 @@ def init_centers(latents, clusters: int, rng: np.random.Generator) -> np.ndarray
 # checkpoint archive
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(params: CaeParams, path: str | Path,
-                    extra_meta: dict | None = None) -> None:
-    """Write parameters as a deterministic archive (see :mod:`.archive`).
-
-    ``extra_meta`` lets callers record pipeline context (e.g. which
-    reduction preceded training) alongside the architecture config.
-    """
+                    run_config: dict | None = None) -> None:
+    """Write parameters as a deterministic archive (see :mod:`.archive`);
+    ``run_config``, the flat config of the run that trained them, goes beside
+    the architecture config when given."""
     entries = params.trainable_items()
     meta = {"format": "hsiseg-checkpoint", "version": _CHECKPOINT_VERSION,
             "config": params.config.to_dict()}
-    if extra_meta:
-        meta.update(extra_meta)
+    if run_config is not None:
+        meta["run_config"] = run_config
     save_archive(path, meta, [(name, t.data) for name, t in entries])
 
 

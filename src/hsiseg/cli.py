@@ -4,7 +4,9 @@ Subcommands: synth, convert, reduce, train, segment, baseline, evaluate.
 Every artifact embeds the resolved configuration so runs are
 self-describing, and everything is deterministic under (config, seed); wall
 times go to a ``timings.json`` sidecar (and stderr) so the primary JSON
-artifacts are byte-reproducible.
+artifacts are byte-reproducible.  A ``train`` checkpoint stores its run
+configuration, and ``segment`` rebuilds it through :class:`RunConfig` to
+replay the run's preprocessing.
 
 Exit codes: 0 success, 1 contract/configuration error, 2 I/O error,
 3 numerical error.
@@ -45,6 +47,7 @@ class RunConfig:
     the schedule keys to ``schedule`` (a :class:`~hsiseg.train.TrainConfig`).
     Building one checks every key, ``arch`` through
     :meth:`~hsiseg.cae.CaeConfig.check_architecture`, before any file is read.
+    A checkpoint's stored run config goes through the same :meth:`from_dict`.
     """
 
     seed: int = 0
@@ -64,8 +67,24 @@ class RunConfig:
         return {**flat.pop("arch"), **flat.pop("schedule"), **flat}
 
     @classmethod
+    def from_dict(cls, data) -> "RunConfig":
+        """The config of flat keys ``data`` (absent keys take their defaults);
+        anything but a JSON object of known, valid keys is a :class:`ParameterError`."""
+        if not isinstance(data, dict):
+            raise ParameterError(f"a run config must be a JSON object, got {type(data).__name__}")
+        unknown = set(data) - set(cls().to_dict())
+        if unknown:
+            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        data = dict(data)
+        arch = {k: data.pop(k, default) for k, default in ARCH_DEFAULTS.items()}
+        schedule = train.TrainConfig(**{f.name: data.pop(f.name)
+                                        for f in fields(train.TrainConfig) if f.name in data})
+        return cls(**data, arch=arch, schedule=schedule)
+
+    @classmethod
     def load(cls, path: str | Path | None, overrides: dict) -> "RunConfig":
-        data: dict = {}
+        """The config file ``path`` (None: no file) under the non-None ``overrides``."""
+        data = {}
         if path is not None:
             try:
                 data = json.loads(Path(path).read_text())
@@ -73,17 +92,9 @@ class RunConfig:
                 raise DataError(f"cannot read config {path}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
-            if not isinstance(data, dict):
-                raise ParameterError(f"config {path} must hold a JSON object, "
-                                     f"got {type(data).__name__}")
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        unknown = set(data) - set(cls().to_dict())
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        arch = {k: data.pop(k, default) for k, default in ARCH_DEFAULTS.items()}
-        schedule = train.TrainConfig(**{f.name: data.pop(f.name)
-                                        for f in fields(train.TrainConfig) if f.name in data})
-        return cls(**data, arch=arch, schedule=schedule)
+        if isinstance(data, dict):
+            data.update({k: v for k, v in overrides.items() if v is not None})
+        return cls.from_dict(data)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -171,10 +182,7 @@ def cmd_train(args) -> int:
     arch = cae.CaeConfig(bands=cube.bands, **config.arch)
     params, report = train.run_training(cube, arch, config.schedule, config.seed)
     flat = config.to_dict()
-    cae.save_checkpoint(params, out / "checkpoint.zip",
-                        extra_meta={"pipeline": {"reduction": config.reduction,
-                                                 "normalized": True},
-                                    "run_config": flat})
+    cae.save_checkpoint(params, out / "checkpoint.zip", run_config=flat)
     _write_json(out / "report.json", {"config": flat, **report.to_dict()})
     _write_json(out / "timings.json", {
         "config": flat,
@@ -187,38 +195,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_pipeline(meta: dict, path: str) -> tuple[bool, str]:
-    """(normalized, reduction) recorded in a checkpoint's ``pipeline`` block.
-
-    A checkpoint without the block (or without either key) replays nothing.
-    """
-    pipeline = meta.get("pipeline", {})
-    if not isinstance(pipeline, dict):
-        raise FormatError(f"{path}: 'pipeline' must be a JSON object, got {pipeline!r}")
-    normalized = pipeline.get("normalized", False)
-    reduction_name = pipeline.get("reduction", "none")
-    if type(normalized) is not bool:
-        raise FormatError(f"{path}: pipeline 'normalized' must be a JSON bool, "
-                          f"got {normalized!r}")
-    if reduction_name not in REDUCTIONS:
-        raise FormatError(f"{path}: pipeline 'reduction' must be one of {REDUCTIONS}, "
-                          f"got {reduction_name!r}")
-    return normalized, reduction_name
-
-
 def cmd_segment(args) -> int:
+    """Label a cube; a checkpoint's stored run config, checked as a config file
+    is, replays its preprocessing, and a library checkpoint replays none."""
     cube = load_cube(args.cube)
     t0 = time.perf_counter()
     params, meta = cae.load_checkpoint(args.checkpoint)
-    normalized, reduction_name = _checkpoint_pipeline(meta, args.checkpoint)
-    work = _preprocess(cube, reduction_name, params.config.embedding_dim, normalized=normalized)
+    config, work = {}, cube
+    if "run_config" in meta:
+        try:
+            run = RunConfig.from_dict(meta["run_config"])
+        except ParameterError as exc:
+            raise FormatError(f"{args.checkpoint}: invalid stored run config: {exc}") from exc
+        config = run.to_dict()
+        work = _preprocess(cube, run.reduction, params.config.embedding_dim, normalized=True)
     segmap = train.segment(params, work)
     inference_sec = time.perf_counter() - t0
     write_labels(segmap.labels, args.out)
     if args.ppm:
         write_ppm(segmap, args.ppm)
     sidecar = Path(args.out).with_name(Path(args.out).stem + "_timings.json")
-    _write_json(sidecar, {"config": meta.get("run_config", {}),
+    _write_json(sidecar, {"config": config,
                           "seconds": {"inference": inference_sec},
                           "px_per_s": cube.height * cube.width / inference_sec})
     return 0

@@ -182,10 +182,11 @@ def gmm_em(points, k: int, seed=0, tol: float = 1e-6,
     diagonal gains at least _RIDGE.  The trace holds the objective this EM
     ascends, one value per E-step: the log-likelihood minus
     _RIDGE * n / 2 * sum_j tr(Sigma_j^-1).  It never decreases beyond
-    rounding.  Iteration stops once it improves by less than tol, or after
-    max_iter iterations.  The returned parameters are those of the last
-    E-step: the trace's last value is their objective and the labels are
-    their argmax responsibilities.
+    rounding.  Iteration stops once it gains less than tol times its own
+    magnitude, so the test does not depend on the data's scale, or after
+    max_iter iterations; tol=-inf never stops early.  The returned
+    parameters are those of the last E-step: the trace's last value is their
+    objective and the labels are their argmax responsibilities.
     """
     points = _point_matrix(points)
     if k < 1:
@@ -220,7 +221,7 @@ def gmm_em(points, k: int, seed=0, tol: float = 1e-6,
         resp = np.exp(log_prob - norm)
         objective = float(norm.sum() - 0.5 * _RIDGE * n * inv_trace)
         trace.append(objective)
-        if len(trace) > 1 and objective - trace[-2] < tol:
+        if len(trace) > 1 and objective - trace[-2] < tol * abs(objective):
             break
 
     labels = resp.argmax(axis=1)

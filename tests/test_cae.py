@@ -53,7 +53,7 @@ def factored_decode(params, latents, tape=None):
 # Default desk and paper shapes; 2x2x4 kernels, whose composite kernels are
 # 3x3x7 (not 5x5); and one-band kernels, whose composite kernels are one band too.
 GEOMETRIES = {"desk": desk_config(), "paper": CaeConfig(bands=103),
-              "ks2-kd4": desk_config(kernel_spatial=2, patch_spatial=3, kernel_depth=4),
+              "ks2-kd4": desk_config(kernel_spatial=2, kernel_depth=4),
               "kd1": desk_config(kernel_depth=1)}
 
 
@@ -79,9 +79,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CaeConfig(bands=16, clusters=3)  # 16 - 2*8 = 0 positions left
 
-    def test_spatial_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            CaeConfig(bands=40, clusters=3, kernel_spatial=2)
+    def test_patch_size_follows_kernel_size(self):
+        """Two valid 2x2 stages collapse a 3x3 patch: the patch size is no knob."""
+        cfg = CaeConfig(bands=40, clusters=3, kernel_spatial=2)
+        assert cfg.patch_spatial == 3
+        assert "patch_spatial" not in cfg.to_dict()
 
     def test_single_cluster_rejected(self):
         with pytest.raises(ConfigError):
@@ -512,10 +514,10 @@ class TestCheckpoint:
         rng = np.random.default_rng(24)
         params = build_cae(desk_config(), rng)
         params.centers = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-        save_checkpoint(params, tmp_path / "model.zip", extra_meta={"pipeline": {"reduction": "none"}})
+        save_checkpoint(params, tmp_path / "model.zip", run_config={"reduction": "none"})
         loaded, meta = load_checkpoint(tmp_path / "model.zip")
         assert loaded.config == params.config
-        assert meta["pipeline"] == {"reduction": "none"}
+        assert meta["run_config"] == {"reduction": "none"}
         for (_, ta), (_, tb) in zip(params.trainable_items(), loaded.trainable_items()):
             np.testing.assert_array_equal(ta.data, tb.data)
 
@@ -543,10 +545,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_one_rejected(self, tmp_path):
+        """Version 1 kept a ``pipeline`` block beside the run config; it is
+        refused by its version, with no compatibility path."""
+        path = self._saved(tmp_path, lambda meta, arrays: meta.update(version=1))
+        with pytest.raises(FormatError, match="version 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [True, 2.0])
     def test_non_integer_version_rejected(self, tmp_path, version):
-        """The version is the JSON integer 1: true and 1.0 compare equal to it
-        in Python but are not it."""
+        """The version is the JSON integer 2: 2.0 compares equal to it in
+        Python but is not it, and neither is true."""
         path = self._saved(tmp_path, lambda meta, arrays: meta.update(version=version))
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(path)

@@ -13,12 +13,13 @@ import pytest
 
 from hsiseg.archive import load_archive, save_archive
 from hsiseg.autodiff import Tensor
-from hsiseg.cae import CaeConfig, build_cae, save_checkpoint
+from hsiseg.cae import CaeConfig, build_cae, load_checkpoint, save_checkpoint
 from hsiseg.cli import RunConfig, build_parser, main
-from hsiseg.cube import load_cube, load_labels, write_cube, write_labels
+from hsiseg.cube import load_cube, load_labels, normalize, write_cube, write_labels
 from hsiseg.errors import ParameterError
+from hsiseg.reduction import pca_reduce
 from hsiseg.synth import generate_cube
-from hsiseg.train import TrainConfig
+from hsiseg.train import TrainConfig, segment
 
 
 def run(*argv):
@@ -142,13 +143,13 @@ class TestReduce:
         assert load_cube(tmp_path / "out.hsic").bands == 5
 
 
-def save_segmenter(path, extra_meta=None):
+def save_segmenter(path, run_config=None):
     """A checkpoint of an untrained 8-band model with random centers."""
     params = build_cae(CaeConfig(bands=8, clusters=3, kernels_per_layer=4,
                                  kernel_depth=3, embedding_dim=6),
                        np.random.default_rng(0))
     params.centers = Tensor(np.random.default_rng(1).random((3, 6)), requires_grad=True)
-    save_checkpoint(params, path, extra_meta)
+    save_checkpoint(params, path, run_config)
 
 
 class TestTrainSegment:
@@ -289,16 +290,16 @@ class TestTrainSegment:
                    "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "bad.gt") == 2
         assert not (tmp_path / "bad.gt").exists()
 
-    @pytest.mark.parametrize("pipeline", [[1],
-                                          {"reduction": "bogus", "normalized": True},
-                                          {"reduction": "none", "normalized": "yes"}])
-    def test_malformed_pipeline_is_format_error(self, scene_dir, tmp_path, pipeline):
-        """The preprocessing a checkpoint asks segment to replay is checked:
-        a block that is not an object, an unknown reduction or a non-bool
-        normalized flag is an I/O/format error (exit 2)."""
-        save_segmenter(tmp_path / "good.zip",
-                       {"pipeline": {"reduction": "none", "normalized": True}})
-        save_segmenter(tmp_path / "bad.zip", {"pipeline": pipeline})
+    @pytest.mark.parametrize("run_config", [
+        [1], {**TRAIN_CONFIG, "reduction": "bogus"}, {**TRAIN_CONFIG, "seed": "9"},
+        {**TRAIN_CONFIG, "warp_factor": 9}],
+        ids=["not-object", "bogus-reduction", "mistyped-knob", "unknown-key"])
+    def test_malformed_run_config_is_format_error(self, scene_dir, tmp_path, run_config):
+        """The run config segment replays is checked as a config file is: one
+        that is not an object, or that fails a RunConfig check, makes the
+        checkpoint invalid (exit 2) and no map is written."""
+        save_segmenter(tmp_path / "good.zip", TRAIN_CONFIG)
+        save_segmenter(tmp_path / "bad.zip", run_config)
         assert run("segment", "--checkpoint", tmp_path / "good.zip",
                    "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "good.gt") == 0
         assert run("segment", "--checkpoint", tmp_path / "bad.zip",
@@ -356,6 +357,23 @@ class TestTrainSegment:
         config.write_bytes(b"\x80" + config.read_bytes())
         assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
                    "--out-dir", tmp_path / "out") == 1
+
+    def test_segment_replays_reduction(self, scene_dir, tmp_path):
+        """segment normalizes the cube and PCA-reduces it to embedding_dim
+        bands, as the run stored in the checkpoint did, before labeling it."""
+        out = tmp_path / "run"
+        assert run("train", "--config", write_config(tmp_path), "--reduction", "pca",
+                   "--cube", scene_dir / "cube.hsic", "--out-dir", out) == 0
+        assert run("segment", "--checkpoint", out / "checkpoint.zip",
+                   "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "map.gt") == 0
+        params, meta = load_checkpoint(out / "checkpoint.zip")
+        assert meta["run_config"]["reduction"] == "pca"
+        reduced = pca_reduce(normalize(load_cube(scene_dir / "cube.hsic")),
+                             TRAIN_CONFIG["embedding_dim"])
+        np.testing.assert_array_equal(load_labels(tmp_path / "map.gt"),
+                                      segment(params, reduced).labels)
+        sidecar = json.loads((tmp_path / "map_timings.json").read_text())
+        assert sidecar["config"] == json.loads((out / "report.json").read_text())["config"]
 
     def test_checkpoint_band_mismatch(self, scene_dir, tmp_path):
         config = write_config(tmp_path)
@@ -456,7 +474,7 @@ class TestBlasThreads:
 # every key a --config file may set, with its default
 DOCUMENTED_DEFAULTS = {
     "seed": 0, "reduction": "none",
-    "clusters": 2, "patch_spatial": 5, "kernels_per_layer": 32, "kernel_spatial": 3,
+    "clusters": 2, "kernels_per_layer": 32, "kernel_spatial": 3,
     "kernel_depth": 9, "embedding_dim": 25, "dropout_p": 0.5,
     "batch_size": 256, "epsilon": 1e-6, "stage1_max_epochs": 500, "stage2_epochs": 25,
     "alpha": 0.1, "lr": 1e-4,
@@ -509,6 +527,14 @@ class TestRunConfig:
         config = write_config(tmp_path, method="kmeans")
         flags = ["--method", "kmeans"] if command == "baseline" else []
         assert run(command, *flags, "--config", config, "--cube", scene_dir / "cube.hsic",
+                   "--out-dir", tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_patch_size_is_not_a_config_key(self, scene_dir, tmp_path):
+        """The patch size follows from kernel_spatial; a config file that
+        sets it fails as an unknown key (exit 1)."""
+        config = write_config(tmp_path, patch_spatial=5)
+        assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
                    "--out-dir", tmp_path / "out") == 1
         assert not (tmp_path / "out").exists()
 

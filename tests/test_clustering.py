@@ -312,6 +312,17 @@ class TestGmm:
         assert objective == model.log_likelihood_trace[-1]
         np.testing.assert_array_equal(argmax, labels)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stop_test_is_relative_to_the_objective(self, seed):
+        """A noisy 32x32x30 scene reduced to 8 features, whose objective is
+        about 2700: EM stops at the first E-step that gains less than tol
+        times the objective's magnitude, and at no earlier one."""
+        cube = normalize(generate_cube(32, 32, 30, 4, seed=seed, noise=0.5))
+        model, _ = gmm_em(pca_reduce(cube, 8).pixel_matrix(), 4, seed=seed, tol=1e-6)
+        trace = np.array(model.log_likelihood_trace)
+        below = np.diff(trace) < 1e-6 * np.abs(trace[1:])
+        assert below[-1] and not below[:-1].any()
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_kmeans_singleton_component(self, k):
         """An outlier that k-means leaves alone in its cluster: the first
