@@ -24,9 +24,9 @@ of the flattened patch: :func:`encode_batch` without a generator,
 every latent through it.
 
 Checkpoints are a single zip archive: ``meta.json`` (format, version, the
-architecture config and any run config), ``manifest.json`` listing (name,
-shape, dtype, file) for each tensor, and one raw little-endian float64
-payload per tensor.
+architecture config and any run config, which holds only the run's other
+keys), ``manifest.json`` listing (name, shape, dtype, file) for each tensor,
+and one raw little-endian float64 payload per tensor.
 Entry order and timestamps are fixed so identical parameters give
 byte-identical archives.
 """
@@ -99,13 +99,6 @@ class CaeConfig:
     def flat_dim(self) -> int:
         """Length of the flattened central-pixel feature vector."""
         return self.kernels_per_layer * self.conv2_depth
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CaeConfig":
-        return cls(**data)
 
 
 def weight_specs(config: CaeConfig) -> dict[str, tuple[tuple[int, ...], int | None]]:
@@ -342,17 +335,17 @@ def init_centers(latents, clusters: int, rng: np.random.Generator) -> np.ndarray
 # checkpoint archive
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(params: CaeParams, path: str | Path,
                     run_config: dict | None = None) -> None:
     """Write parameters as a deterministic archive (see :mod:`.archive`);
-    ``run_config``, the flat config of the run that trained them, goes beside
-    the architecture config when given."""
+    ``run_config``, the keys of the run that trained them that the
+    architecture config does not hold, goes beside it when given."""
     entries = params.trainable_items()
     meta = {"format": "hsiseg-checkpoint", "version": _CHECKPOINT_VERSION,
-            "config": params.config.to_dict()}
+            "config": asdict(params.config)}
     if run_config is not None:
         meta["run_config"] = run_config
     save_archive(path, meta, [(name, t.data) for name, t in entries])
@@ -362,8 +355,9 @@ def load_checkpoint(path: str | Path) -> tuple[CaeParams, dict]:
     """Rebuild parameters (and the stored metadata) from a checkpoint.
 
     Every tensor must have the shape :func:`build_cae` gives it under the
-    stored config, and the centers, when present, must be (clusters,
-    embedding_dim); anything else is a :class:`FormatError`.
+    stored config, the centers, when present, must be (clusters,
+    embedding_dim), and a stored run config must be an object that names no
+    key of the architecture config; anything else is a :class:`FormatError`.
     """
     meta, arrays = load_archive(path)
     if meta.get("format") != "hsiseg-checkpoint":
@@ -372,9 +366,14 @@ def load_checkpoint(path: str | Path) -> tuple[CaeParams, dict]:
         raise FormatError(f"{path} has checkpoint version {version!r}, "
                           f"expected the integer {_CHECKPOINT_VERSION}")
     try:
-        config = CaeConfig.from_dict(meta["config"])
+        config = CaeConfig(**meta["config"])
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"{path} holds no valid architecture config: {exc}") from exc
+    run_config = meta.get("run_config", {})
+    if not isinstance(run_config, dict):
+        raise FormatError(f"{path}: the stored run config is not a JSON object")
+    if repeated := sorted(set(run_config) & set(asdict(config))):
+        raise FormatError(f"{path}: the stored run config repeats architecture keys {repeated}")
     expected = {name: shape for name, (shape, _) in weight_specs(config).items()}
     if CENTERS_NAME in arrays:
         expected[CENTERS_NAME] = (config.clusters, config.embedding_dim)

@@ -4,9 +4,9 @@ Subcommands: synth, convert, reduce, train, segment, baseline, evaluate.
 Every artifact embeds the resolved configuration so runs are
 self-describing, and everything is deterministic under (config, seed); wall
 times go to a ``timings.json`` sidecar (and stderr) so the primary JSON
-artifacts are byte-reproducible.  A ``train`` checkpoint stores its run
-configuration, and ``segment`` rebuilds it through :class:`RunConfig` to
-replay the run's preprocessing.
+artifacts are byte-reproducible.  A ``train`` checkpoint stores the run keys
+its model does not hold; ``segment`` rebuilds the run from them and the model
+through :class:`RunConfig` to replay its preprocessing.
 
 Exit codes: 0 success, 1 contract/configuration error, 2 I/O error,
 3 numerical error.
@@ -47,7 +47,7 @@ class RunConfig:
     the schedule keys to ``schedule`` (a :class:`~hsiseg.train.TrainConfig`).
     Building one checks every key, ``arch`` through
     :meth:`~hsiseg.cae.CaeConfig.check_architecture`, before any file is read.
-    A checkpoint's stored run config goes through the same :meth:`from_dict`.
+    ``segment`` replays a checkpoint's run keys and model architecture through :meth:`from_dict`.
     """
 
     seed: int = 0
@@ -182,7 +182,8 @@ def cmd_train(args) -> int:
     arch = cae.CaeConfig(bands=cube.bands, **config.arch)
     params, report = train.run_training(cube, arch, config.schedule, config.seed)
     flat = config.to_dict()
-    cae.save_checkpoint(params, out / "checkpoint.zip", run_config=flat)
+    cae.save_checkpoint(params, out / "checkpoint.zip",
+                        run_config={k: v for k, v in flat.items() if k not in ARCH_DEFAULTS})
     _write_json(out / "report.json", {"config": flat, **report.to_dict()})
     _write_json(out / "timings.json", {
         "config": flat,
@@ -196,15 +197,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    """Label a cube; a checkpoint's stored run config, checked as a config file
-    is, replays its preprocessing, and a library checkpoint replays none."""
+    """Label a cube; a checkpoint's run keys and model architecture, checked as a
+    config file is, replay its preprocessing, and a library checkpoint replays none."""
     cube = load_cube(args.cube)
     t0 = time.perf_counter()
     params, meta = cae.load_checkpoint(args.checkpoint)
     config, work = {}, cube
     if "run_config" in meta:
         try:
-            run = RunConfig.from_dict(meta["run_config"])
+            run = RunConfig.from_dict({**meta["run_config"], **{
+                k: getattr(params.config, k) for k in ARCH_DEFAULTS}})
         except ParameterError as exc:
             raise FormatError(f"{args.checkpoint}: invalid stored run config: {exc}") from exc
         config = run.to_dict()

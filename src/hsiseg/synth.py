@@ -15,15 +15,15 @@ from .cube import HsiCube
 from .errors import ParameterError
 
 
-def class_signatures(classes: int, bands: int, peak: float = 1.0) -> np.ndarray:
-    """Gaussian-bump spectra over a 0.1 baseline, one per class, with evenly spaced centers."""
+def class_signatures(classes: int, bands: int) -> np.ndarray:
+    """Gaussian-bump spectra of height 1 over a 0.1 baseline, one per class, evenly spaced."""
     if classes < 1 or bands < 1:
         raise ParameterError("classes and bands must be positive")
     band_axis = np.arange(bands)
     centers = (np.arange(classes) + 0.5) * bands / classes
     width = max(bands / (3.0 * classes), 1.0)
     bumps = np.exp(-0.5 * ((band_axis[None, :] - centers[:, None]) / width) ** 2)
-    return 0.1 + peak * bumps
+    return 0.1 + bumps
 
 
 def signature_separation(signatures: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Autoencoder architecture, losses, and clustering-head behavior."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,7 +85,7 @@ class TestConfig:
         """Two valid 2x2 stages collapse a 3x3 patch: the patch size is no knob."""
         cfg = CaeConfig(bands=40, clusters=3, kernel_spatial=2)
         assert cfg.patch_spatial == 3
-        assert "patch_spatial" not in cfg.to_dict()
+        assert "patch_spatial" not in asdict(cfg)
 
     def test_single_cluster_rejected(self):
         with pytest.raises(ConfigError):
@@ -91,7 +93,7 @@ class TestConfig:
 
     def test_roundtrip_dict(self):
         cfg = desk_config()
-        assert CaeConfig.from_dict(cfg.to_dict()) == cfg
+        assert CaeConfig(**asdict(cfg)) == cfg
 
 
 class TestBuildAndShapes:
@@ -545,19 +547,30 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(path)
 
-    def test_version_one_rejected(self, tmp_path):
-        """Version 1 kept a ``pipeline`` block beside the run config; it is
+    def test_version_two_rejected(self, tmp_path):
+        """Version 2 repeated the architecture keys in the run config; it is
         refused by its version, with no compatibility path."""
-        path = self._saved(tmp_path, lambda meta, arrays: meta.update(version=1))
-        with pytest.raises(FormatError, match="version 1"):
+        path = self._saved(tmp_path, lambda meta, arrays: meta.update(version=2))
+        with pytest.raises(FormatError, match="version 2"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [True, 2.0])
+    @pytest.mark.parametrize("version", [True, 3.0])
     def test_non_integer_version_rejected(self, tmp_path, version):
-        """The version is the JSON integer 2: 2.0 compares equal to it in
+        """The version is the JSON integer 3: 3.0 compares equal to it in
         Python but is not it, and neither is true."""
         path = self._saved(tmp_path, lambda meta, arrays: meta.update(version=version))
         with pytest.raises(FormatError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("run_config, message", [
+        ([1], "not a JSON object"), ({"seed": 9, "kernel_depth": 9}, "kernel_depth"),
+        ({"bands": 8}, "bands")], ids=["not-object", "architecture-key", "bands"])
+    def test_run_config_repeating_the_architecture_rejected(self, tmp_path, run_config,
+                                                            message):
+        """The architecture is stored once, in ``config``: a run config that
+        names one of its keys, or that is no object, is refused on load."""
+        path = self._saved(tmp_path, lambda meta, arrays: meta.update(run_config=run_config))
+        with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
 
     def test_other_archive_format_rejected(self, tmp_path):

@@ -17,7 +17,7 @@ from hsiseg.cae import CaeConfig, build_cae, load_checkpoint, save_checkpoint
 from hsiseg.cli import RunConfig, build_parser, main
 from hsiseg.cube import load_cube, load_labels, normalize, write_cube, write_labels
 from hsiseg.errors import ParameterError
-from hsiseg.reduction import pca_reduce
+from hsiseg.reduction import pca_reduce, smsi_reduce
 from hsiseg.synth import generate_cube
 from hsiseg.train import TrainConfig, segment
 
@@ -47,6 +47,11 @@ TRAIN_CONFIG = {
     "lr": 1e-3,
     "seed": 9,
 }
+
+
+# the keys of TRAIN_CONFIG that a checkpoint's run config stores: its model holds the rest
+RUN_CONFIG = {k: v for k, v in TRAIN_CONFIG.items()
+              if k not in {f.name for f in fields(CaeConfig)}}
 
 
 def write_config(tmp_path, **overrides):
@@ -291,14 +296,16 @@ class TestTrainSegment:
         assert not (tmp_path / "bad.gt").exists()
 
     @pytest.mark.parametrize("run_config", [
-        [1], {**TRAIN_CONFIG, "reduction": "bogus"}, {**TRAIN_CONFIG, "seed": "9"},
-        {**TRAIN_CONFIG, "warp_factor": 9}],
-        ids=["not-object", "bogus-reduction", "mistyped-knob", "unknown-key"])
+        [1], {**RUN_CONFIG, "reduction": "bogus"}, {**RUN_CONFIG, "seed": "9"},
+        {**RUN_CONFIG, "warp_factor": 9}, {**RUN_CONFIG, "kernel_depth": 9}],
+        ids=["not-object", "bogus-reduction", "mistyped-knob", "unknown-key",
+             "architecture-key"])
     def test_malformed_run_config_is_format_error(self, scene_dir, tmp_path, run_config):
         """The run config segment replays is checked as a config file is: one
-        that is not an object, or that fails a RunConfig check, makes the
-        checkpoint invalid (exit 2) and no map is written."""
-        save_segmenter(tmp_path / "good.zip", TRAIN_CONFIG)
+        that is not an object, that repeats an architecture key of the model,
+        or that fails a RunConfig check, makes the checkpoint invalid (exit 2)
+        and no map is written."""
+        save_segmenter(tmp_path / "good.zip", RUN_CONFIG)
         save_segmenter(tmp_path / "bad.zip", run_config)
         assert run("segment", "--checkpoint", tmp_path / "good.zip",
                    "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "good.gt") == 0
@@ -358,22 +365,35 @@ class TestTrainSegment:
         assert run("train", "--config", config, "--cube", scene_dir / "cube.hsic",
                    "--out-dir", tmp_path / "out") == 1
 
-    def test_segment_replays_reduction(self, scene_dir, tmp_path):
-        """segment normalizes the cube and PCA-reduces it to embedding_dim
-        bands, as the run stored in the checkpoint did, before labeling it."""
+    @pytest.mark.parametrize("reduction, reduce", [("pca", pca_reduce),
+                                                   ("smsi", smsi_reduce)])
+    def test_segment_replays_reduction(self, scene_dir, tmp_path, reduction, reduce):
+        """segment normalizes the cube and reduces it to embedding_dim bands,
+        as the run stored in the checkpoint did, before labeling it."""
         out = tmp_path / "run"
-        assert run("train", "--config", write_config(tmp_path), "--reduction", "pca",
+        assert run("train", "--config", write_config(tmp_path), "--reduction", reduction,
                    "--cube", scene_dir / "cube.hsic", "--out-dir", out) == 0
         assert run("segment", "--checkpoint", out / "checkpoint.zip",
                    "--cube", scene_dir / "cube.hsic", "--out", tmp_path / "map.gt") == 0
         params, meta = load_checkpoint(out / "checkpoint.zip")
-        assert meta["run_config"]["reduction"] == "pca"
-        reduced = pca_reduce(normalize(load_cube(scene_dir / "cube.hsic")),
-                             TRAIN_CONFIG["embedding_dim"])
+        assert meta["run_config"]["reduction"] == reduction
+        reduced = reduce(normalize(load_cube(scene_dir / "cube.hsic")),
+                         TRAIN_CONFIG["embedding_dim"])
         np.testing.assert_array_equal(load_labels(tmp_path / "map.gt"),
                                       segment(params, reduced).labels)
         sidecar = json.loads((tmp_path / "map_timings.json").read_text())
         assert sidecar["config"] == json.loads((out / "report.json").read_text())["config"]
+
+    def test_checkpoint_stores_each_key_once(self, scene_dir, tmp_path):
+        """A train checkpoint's run config holds the seed, the reduction and
+        the schedule keys; the architecture keys live in its config alone."""
+        out = tmp_path / "run"
+        assert run("train", "--config", write_config(tmp_path), "--cube",
+                   scene_dir / "cube.hsic", "--out-dir", out) == 0
+        meta, _ = load_archive(out / "checkpoint.zip")
+        schedule_keys = {f.name for f in fields(TrainConfig)}
+        assert set(meta["run_config"]) == {"seed", "reduction"} | schedule_keys
+        assert not set(meta["run_config"]) & set(meta["config"])
 
     def test_checkpoint_band_mismatch(self, scene_dir, tmp_path):
         config = write_config(tmp_path)

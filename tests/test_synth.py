@@ -13,11 +13,6 @@ class TestSignatures:
         assert sigs.shape == (4, 30)
         assert np.all(sigs > 0.0)
 
-    def test_separation_scales_with_peak(self):
-        base = signature_separation(class_signatures(3, 40, peak=1.0))
-        doubled = signature_separation(class_signatures(3, 40, peak=2.0))
-        assert doubled == pytest.approx(2.0 * base, rel=1e-12)
-
     def test_acceptance_scale_separation(self):
         """The default scene satisfies separation >= 10x the noise level."""
         sep = signature_separation(class_signatures(3, 40))
