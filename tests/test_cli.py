@@ -366,7 +366,7 @@ class TestTrainSegment:
                    "--out-dir", tmp_path / "out") == 1
 
     @pytest.mark.parametrize("reduction, reduce", [("pca", pca_reduce),
-                                                   ("smsi", smsi_reduce)])
+                                                   ("smsi", smsi_reduce)], ids=["pca", "smsi"])
     def test_segment_replays_reduction(self, scene_dir, tmp_path, reduction, reduce):
         """segment normalizes the cube and reduces it to embedding_dim bands,
         as the run stored in the checkpoint did, before labeling it."""
